@@ -16,7 +16,13 @@ import numpy as np
 from .errors import EmptyGridError, InstanceSpecError, MatrixFileError, SmoothSchurError
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
 from .instances import KINDS, Instance, InstanceSpec, derived_seed, generate
-from .isospectral import halving_partitions, iterated_reduction, kernel_correspondence, spectral_scan
+from .isospectral import (
+    _grid_resolution,
+    halving_partitions,
+    iterated_reduction,
+    kernel_correspondence,
+    spectral_scan,
+)
 from .matio import read_matrix, write_json, write_matrix
 from .operator_core import Tolerances, numerical_rank, smallest_sv
 from .pairs import build_pair, feshbach_map, sufficient_conditions
@@ -155,7 +161,7 @@ def cmd_scan(args) -> int:
     flagged = result.flagged_eigenvalues
     reference = result.reference_eigenvalues
     matched = sum(
-        1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= 10 * _grid_step(grid)
+        1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= 10 * _grid_resolution(grid)
     )
     print(f"flagged {len(flagged)} candidate(s); reference eigenvalues matched: {matched}/{len(reference)}")
     if args.json:
@@ -164,14 +170,6 @@ def cmd_scan(args) -> int:
         payload["tolerances"] = _tol_dict(tol)
         write_json(args.json, payload)
     return 0
-
-
-def _grid_step(grid) -> float:
-    if len(grid) < 2:
-        return 1.0
-    gaps = [abs(grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
-    gaps = [g for g in gaps if g > 0]
-    return min(gaps) if gaps else 1.0
 
 
 def cmd_reduce(args) -> int:

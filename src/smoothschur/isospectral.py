@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EffectiveOperatorSingularError,
     EmptyGridError,
     OperatorSingularError,
@@ -22,6 +23,7 @@ from .errors import (
     SubspaceLeakError,
 )
 from .operator_core import (
+    ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
     Tolerances,
@@ -32,7 +34,6 @@ from .operator_core import (
     rel_threshold,
     restricted_inverse,
     restricted_map,
-    smallest_sv,
 )
 from .pairs import FeshbachData, FeshbachPair, build_pair, feshbach_map
 from .partition import Partition, make_sharp
@@ -216,6 +217,119 @@ def _grid_resolution(grid) -> float:
     return min(gaps) if gaps else 1.0
 
 
+#: Bytes allowed per stacked array in a spectral scan's batched solves.
+_SCAN_CHUNK_BYTES = 256 * 1024
+
+#: Relative slack on the Frobenius bracket of a spectral norm.  It is far
+#: above the rounding of either norm, so a verdict taken from the bracket is
+#: the one the exact norm would give.
+_BRACKET_SLACK = 1e-10
+
+
+def _off_diagonal_sq(A: np.ndarray) -> float:
+    """Sum of |A_ij|^2 over i != j."""
+    off = np.abs(A) ** 2
+    np.fill_diagonal(off, 0.0)
+    return float(off.sum())
+
+
+class _ShiftedScan:
+    """The shifted pairs (H - lam, T - lam) of one partition, for many lam.
+
+    Shifting H and T together leaves W, ran(chi), ran(chibar), both
+    commutation residuals and both leaks off ran(chibar) unchanged; only the
+    k x k compressions of T and H_chibar to ran(chibar) move.  Everything
+    else is computed here, once.  A validated partition has chi and chibar
+    nonzero, so both ranges have dimension at least 1.
+    """
+
+    def __init__(self, H, T, partition: Partition, tol: Tolerances):
+        n = partition.dim
+        if H.shape != (n, n) or T.shape != (n, n):
+            raise DimensionMismatchError(
+                f"H {H.shape} / T {T.shape} incompatible with partition dim {n}"
+            )
+        chi, chibar = partition.chi, partition.chibar
+        W = H - T
+        H_chi = T + chi @ W @ chi
+        H_chibar = T + chibar @ W @ chibar
+        ran_chibar = column_space(chibar, tol)
+        B = ran_chibar.basis
+        C = column_space(chi, tol).basis
+        Bh, Ch = B.conj().T, C.conj().T
+
+        T_block, t_leak = restricted_map(T, ran_chibar, tol)
+        K, k_leak = restricted_map(H_chibar, ran_chibar, tol)
+        commutation = [(op_norm(c @ T - T @ c), op_norm(c)) for c in (chi, chibar)]
+        # (operator A, its squared Frobenius norm off the diagonal, which a
+        # shift leaves alone, [(residual, factor norm)]): each residual must
+        # stay within rel_threshold(factor, ||A - lam||), as in build_pair
+        self.gates = [
+            (T, _off_diagonal_sq(T), commutation + [(t_leak, 1.0)]),
+            (H_chibar, _off_diagonal_sq(H_chibar), [(k_leak, 1.0)]),
+        ]
+        self.blocks = (T_block, K)
+        self.gram_B = Bh @ B
+        self.F0 = Ch @ H_chi @ C
+        self.gram_C = Ch @ C
+        self.left = Ch @ chi @ W @ chibar @ B
+        self.right = Bh @ chibar @ W @ chi @ C
+        self.tol = tol
+        self.n = n
+        k, m = B.shape[1], C.shape[1]
+        self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, n)))
+
+    def points(self, lams: np.ndarray):
+        """(smallest sv of F_c, pair valid) at each shift in lams."""
+        sv = np.full(lams.shape, np.nan)
+        idx = np.flatnonzero(np.isfinite(lams))
+        for gate in self.gates:
+            idx = idx[self._within_thresholds(*gate, lams[idx])]
+        shift = lams[idx][:, None, None]
+        for block in self.blocks:
+            shifted = block - shift * self.gram_B
+            keep = self._nonsingular(shifted)
+            idx, shift, shifted = idx[keep], shift[keep], shifted[keep]
+        # shifted is K - lam, the last block, at the points still valid
+        right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
+        Fc = self.F0 - shift * self.gram_C - self.left @ np.linalg.solve(shifted, right)
+        finite = np.isfinite(Fc).all(axis=(1, 2))
+        sv[idx[finite]] = np.linalg.svd(Fc[finite], compute_uv=False)[:, -1]
+        return sv, ~np.isnan(sv)
+
+    def _within_thresholds(self, A, off_diag_sq, checks, lams) -> np.ndarray:
+        """Whether every residual passes its threshold at ||A - lam||.
+
+        ||A - lam||_F / sqrt(n) <= ||A - lam||_2 <= ||A - lam||_F decides
+        most verdicts; the exact norm is computed only for the rest.
+        """
+        tol = self.tol
+        diag = np.abs(np.diagonal(A)[None, :] - lams[:, None]) ** 2
+        fro = np.sqrt(off_diag_sq + diag.sum(axis=1))
+        lo = fro / np.sqrt(self.n) * (1.0 - _BRACKET_SLACK)
+        hi = fro * (1.0 + _BRACKET_SLACK)
+        ok = np.ones(lams.shape, dtype=bool)
+        open_ = np.zeros(lams.shape, dtype=bool)
+        for residual, factor in checks:
+            ok &= residual <= np.maximum(tol.residual_rel * (factor * hi), ABS_FLOOR)
+            open_ |= residual > np.maximum(tol.residual_rel * (factor * lo), ABS_FLOOR)
+        eye = np.eye(self.n)
+        for i in np.flatnonzero(ok & open_):
+            norm = op_norm(A - lams[i] * eye)
+            ok[i] = all(residual <= rel_threshold(tol, factor, norm) for residual, factor in checks)
+        return ok
+
+    def _nonsingular(self, blocks: np.ndarray) -> np.ndarray:
+        """Whether each stacked k x k block passes the rank cutoff that
+        restricted_inverse applies; non-finite blocks fail."""
+        k = blocks.shape[-1]
+        ok = np.isfinite(blocks).all(axis=(1, 2))
+        s = np.linalg.svd(blocks[ok], compute_uv=False)
+        smin = s[:, -1]
+        ok[ok] = (smin > self.tol.rank_rel * s[:, 0] * k) & (smin != 0.0)
+        return ok
+
+
 def spectral_scan(
     H,
     T,
@@ -225,34 +339,48 @@ def spectral_scan(
     flag_scale: float = 10.0,
 ) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
-    record the smallest singular value of F compressed to ran(chi).
+    record the smallest singular value of F(lambda) compressed to ran(chi).
+
+    Shifting H and T together changes only the k x k compressions of T and
+    H_chibar to ran(chibar).  So W, the bases B of ran(chibar) and C of
+    ran(chi), both commutation residuals, both leaks off ran(chibar) and
+    the compressed blocks are computed once per scan, and each point costs
+    k x k and k x m work for m = dim ran(chi):
+
+        F_c(lambda) = C*H_chi C - lambda C*C
+                      - (C*chi W chibar B) (K - lambda)^-1 (B*chibar W chi C),
+
+    with K = B*H_chibar B.  A point is a gap (pair_valid False, singular
+    value NaN) exactly where build_pair rejects the shifted pair: a
+    commutation residual or leak above rel_threshold of ||T - lambda|| or
+    ||H_chibar - lambda||, or a compression of T - lambda or H_chibar -
+    lambda whose smallest singular value is at or below its rank cutoff.
+    Non-finite shifts are gaps as well.  Each threshold is first decided
+    from the Frobenius bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F; the
+    exact spectral norm is computed only when a residual falls inside it.
+    The grid runs in chunks sized from n, k and m so that each stacked
+    array stays within about 256 KB however long the grid (one point per
+    chunk once a single k x k block is larger).
 
     Eigenvalue candidates are grid points whose singular value dips below
     flag_scale * resolution * (1 + ||H||); local minima of the dip are
-    flagged.  Points where the shifted pair fails validation are recorded as
-    gaps (pair_valid False), not errors.
+    flagged.  Raises DimensionMismatchError when H or T does not match the
+    partition.
     """
     H = as_matrix(H)
     T = as_matrix(T)
     grid = [complex(z) for z in grid]
     if not grid:
         raise EmptyGridError("spectral scan requires a nonempty grid")
-    n = H.shape[0]
-    eye = np.eye(n)
-    V = column_space(partition.chi, tol)
-
-    svs: list[float] = []
-    valid: list[bool] = []
-    for lam in grid:
-        try:
-            pair = build_pair(H - lam * eye, T - lam * eye, partition, tol)
-            data = feshbach_map(pair)
-            coords, _ = restricted_map(data.F, V, tol)
-            svs.append(smallest_sv(coords) if coords.size else 0.0)
-            valid.append(True)
-        except SmoothSchurError:
-            svs.append(float("nan"))
-            valid.append(False)
+    scan = _ShiftedScan(H, T, partition, tol)
+    lams = np.array(grid, dtype=complex)
+    svs = np.empty(len(grid))
+    valid = np.empty(len(grid), dtype=bool)
+    for start in range(0, len(grid), scan.chunk):
+        part = slice(start, start + scan.chunk)
+        svs[part], valid[part] = scan.points(lams[part])
+    svs = svs.tolist()
+    valid = valid.tolist()
 
     resolution = _grid_resolution(grid)
     cut = flag_scale * resolution * (1.0 + op_norm(H))

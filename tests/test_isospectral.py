@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from smoothschur import (
+    DimensionMismatchError,
     EffectiveOperatorSingularError,
     EmptyGridError,
     OperatorSingularError,
     ReductionStageError,
+    SmoothSchurError,
     Subspace,
     admissible_subspace_check,
     build_pair,
@@ -19,6 +21,8 @@ from smoothschur import (
     make_sharp,
     numerical_rank,
     op_norm,
+    restricted_map,
+    smallest_sv,
     spectral_scan,
     validate_partition,
     worked_2x2,
@@ -165,6 +169,41 @@ class TestKernelCorrespondence:
             assert kc.passed
 
 
+def _reference_point(H, T, partition, lam):
+    """(sigma_min of F compressed to ran chi, pair valid, ||F||, block margin)
+    at one shift, through the per-point path: build_pair, feshbach_map,
+    restricted_map.  The margin is the smaller of the chibar-block smallest
+    singular values of T - lam and H_chibar - lam over their rank cutoffs."""
+    eye = np.eye(H.shape[0])
+    B = column_space(partition.chibar).basis
+    H_chibar = T + partition.chibar @ (H - T) @ partition.chibar
+    margin = np.inf
+    for A in (T, H_chibar):
+        s = np.linalg.svd(B.conj().T @ (A - lam * eye) @ B, compute_uv=False)
+        cutoff = 1e-10 * s[0] * len(s)
+        margin = min(margin, s[-1] / cutoff if cutoff > 0 else 0.0)
+    try:
+        pair = build_pair(H - lam * eye, T - lam * eye, partition)
+    except SmoothSchurError:
+        return float("nan"), False, float("nan"), margin
+    data = feshbach_map(pair)
+    coords, _ = restricted_map(data.F, column_space(partition.chi))
+    return smallest_sv(coords), True, op_norm(data.F), margin
+
+
+def _near_cutoff_shifts(H, T, partition, factors=(0.01, 0.3, 3.0, 30.0, 300.0)):
+    """Shifts a few rank cutoffs away from an eigenvalue of each chibar block."""
+    B = column_space(partition.chibar).basis
+    H_chibar = T + partition.chibar @ (H - T) @ partition.chibar
+    shifts = []
+    for A in (T, H_chibar):
+        block = B.conj().T @ A @ B
+        mu = np.linalg.eigvals(block)[0]
+        cutoff = 1e-10 * op_norm(block) * block.shape[0]
+        shifts += [mu + c * cutoff for c in factors]
+    return shifts
+
+
 class TestSpectralScan:
     def test_diagonal_flags_and_gap(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -189,6 +228,97 @@ class TestSpectralScan:
         inst = worked_2x2()
         with pytest.raises(EmptyGridError):
             spectral_scan(inst.H, inst.T, inst.partition, [])
+
+    def test_non_finite_shifts_are_gaps(self):
+        inst = worked_2x2()
+        nan, inf = float("nan"), float("inf")
+        grid = [1.0, nan, 2.0, inf, -inf, complex(0.5, inf), complex(nan, 1.0), 4.5]
+        result = spectral_scan(inst.H, inst.T, inst.partition, grid)
+        finite = [bool(np.isfinite(z)) for z in grid]
+        assert result.pair_valid == finite
+        for sv, ok in zip(result.f_smallest_sv, finite):
+            assert np.isfinite(sv) == ok
+
+    def test_dimension_mismatch(self):
+        inst = worked_2x2()
+        with pytest.raises(DimensionMismatchError):
+            spectral_scan(np.eye(3), np.eye(3), inst.partition, [0.5])
+
+    def test_scale_invariance(self):
+        inst = worked_2x2()
+        grid = np.arange(0.0, 5.0, 0.01)
+        base = spectral_scan(inst.H, inst.T, inst.partition, grid)
+        assert len(base.flagged_eigenvalues) == 2
+        for s in (1e-8, 1e8):
+            scaled = spectral_scan(s * inst.H, s * inst.T, inst.partition, s * grid)
+            assert scaled.pair_valid == base.pair_valid
+            flags = [z / s for z in scaled.flagged_eigenvalues]
+            assert flags == pytest.approx(base.flagged_eigenvalues, rel=1e-12)
+
+    def test_worked_2x2_matches_per_point_reference(self):
+        inst = worked_2x2()
+        grid = [0.0, 1.0, (5 - np.sqrt(5)) / 2, 2.5, 3.0, 3.0 + 1e-12, 3.0 - 1e-9, 4.0, 2 + 1j]
+        result = spectral_scan(inst.H, inst.T, inst.partition, grid)
+        assert result.pair_valid[grid.index(3.0)] is False
+        self._assert_matches_reference(inst.H, inst.T, inst.partition, grid, result)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_matches_per_point_reference(self, kind, dim):
+        inst = generate(InstanceSpec(dim=dim, partition_kind=kind, perturbation_scale=0.3,
+                                     seed=derived_seed(97, dim)))
+        H, T, partition = inst.H, inst.T, inst.partition
+        ev = np.linalg.eigvals(H)
+        grid = list(np.linspace(ev.real.min() - 0.1, ev.real.max() + 0.1, 12) + 0.05j)
+        grid += list(ev[:3] + 1e-3) + _near_cutoff_shifts(H, T, partition)
+        result = spectral_scan(H, T, partition, grid)
+        margins = self._assert_matches_reference(H, T, partition, grid, result)
+        # the near-cutoff shifts reach the verdict boundary and cross it
+        assert any(0.1 <= m <= 10 for m in margins)
+        assert any(m < 0.1 for m in margins)
+
+    @pytest.mark.parametrize(
+        "chi, chibar, T, grid",
+        [
+            # ran(chibar) is the whole space, so only commutation can fail:
+            # residual 2e-7 against 1e-9 * 0.8 * ||T - lam||, which fails
+            # where ||T - lam|| < 250, i.e. for lam between 150 and 251
+            (
+                np.diag([0.8, 0.6]),
+                np.diag([0.6, 0.8]),
+                np.array([[1.0, 1e-6], [1e-6, 400.0]]),
+                [0.0, 100.0, 130.0, 160.0, 200.0, 245.0, 255.0, 300.0, -300.0],
+            ),
+            # chibar is 1e-6 on e1, so coupling e0 and e1 nearly commutes but
+            # leaks 1e-2 off ran(chibar): the leak flips at ||T - lam|| = 1e7
+            (
+                np.diag([1.0, np.sqrt(1.0 - 1e-12), 0.0]),
+                np.diag([0.0, 1e-6, 1.0]),
+                np.array([[1.0, 1e-2, 0.0], [1e-2, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+                [0.5, 100.0, 0.98e7, 1.02e7, -0.98e7, -1.02e7, 5e7],
+            ),
+        ],
+    )
+    def test_threshold_gates_match_reference(self, chi, chibar, T, grid):
+        partition = validate_partition(chi, chibar)
+        result = spectral_scan(T, T, partition, grid)
+        self._assert_matches_reference(T, T, partition, grid, result)
+        assert True in result.pair_valid and False in result.pair_valid
+
+    @staticmethod
+    def _assert_matches_reference(H, T, partition, grid, result):
+        margins = []
+        for lam, sv, ok in zip(grid, result.f_smallest_sv, result.pair_valid):
+            ref_sv, ref_ok, f_norm, margin = _reference_point(H, T, partition, lam)
+            margins.append(margin)
+            # within 10x of the rank cutoff either verdict is right
+            if not 0.1 <= margin <= 10:
+                assert ok == ref_ok, (lam, margin)
+            if ok and ref_ok:
+                assert abs(sv - ref_sv) <= 1e-12 * (1 + f_norm), (lam, sv, ref_sv)
+            if not ok:
+                assert np.isnan(sv)
+        return margins
 
 
 class TestIteratedReduction:
