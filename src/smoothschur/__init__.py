@@ -32,7 +32,7 @@ from .errors import (
     SubspaceLeakError,
 )
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
-from .instances import Instance, InstanceSpec, generate, generate_pair, generate_singular, worked_2x2
+from .instances import Instance, InstanceSpec, generate, generate_singular, worked_2x2
 from .isospectral import (
     KernelCorrespondence,
     ScanResult,

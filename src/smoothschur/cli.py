@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyGridError, InstanceSpecError, MatrixFileError, SmoothSchurError
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
-from .instances import KINDS, Instance, InstanceSpec, derived_seed, generate
+from .instances import KINDS, InstanceSpec, derived_seed, generate
 from .isospectral import (
     _grid_resolution,
     halving_partitions,
@@ -27,7 +27,6 @@ from .matio import read_matrix, write_json, write_matrix
 from .operator_core import Tolerances, numerical_rank, smallest_sv
 from .pairs import build_pair, feshbach_map, sufficient_conditions
 from .partition import validate_partition
-from .report import ResidualReport
 
 SCHEMA = "1.0"
 MATRIX_FILES = ("H", "T", "chi", "chibar")
@@ -82,14 +81,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_instance(H, T, chi, chibar, tol: Tolerances) -> dict:
+def _check_instance(H, T, chi, chibar, tol: Tolerances):
+    """The `check` report as a JSON-ready dict, and its ResidualReports by name."""
     partition = validate_partition(chi, chibar, tol)
     pair = build_pair(H, T, partition, tol)
     data = feshbach_map(pair)
 
     reports = {
         "pair": pair.evidence,
-        "sufficient": sufficient_conditions(pair, tol),
+        "sufficient": sufficient_conditions(pair),
         "basics": verify_basics(pair, data, tol),
         "resolvent": verify_resolvent(pair, tol),
         "alt": verify_alt_remark(pair, data, tol),
@@ -110,18 +110,16 @@ def _check_instance(H, T, chi, chibar, tol: Tolerances) -> dict:
         "reports": {name: report.to_dict() for name, report in reports.items()},
         "kernel": kernel.to_dict(),
         "summary": {"pass": not failures, "failures": sorted(failures)},
-        "_report_objs": reports,
-    }
+    }, reports
 
 
 def cmd_check(args) -> int:
     tol = _tolerances(args)
     mats = _load_instance_dir(args.instance)
     started = time.perf_counter()
-    result = _check_instance(mats["H"], mats["T"], mats["chi"], mats["chibar"], tol)
+    result, reports = _check_instance(mats["H"], mats["T"], mats["chi"], mats["chibar"], tol)
     elapsed = time.perf_counter() - started
 
-    reports = result.pop("_report_objs")
     for name, report in reports.items():
         print(f"{name}:")
         print(report.pretty())

@@ -56,9 +56,10 @@ def verify_basics(
 def verify_resolvent(pair: FeshbachPair, tol: Tolerances = DEFAULT_TOL) -> ResidualReport:
     """Check chibar (T^-1 - Hbar^-1) chibar = chibar T^-1 W_chibar Hbar^-1 chibar."""
     chibar = pair.chibar
+    W_chibar = chibar @ pair.W @ chibar
     lhs = chibar @ (pair.T_inv_bar - pair.H_chibar_inv) @ chibar
-    rhs = chibar @ pair.T_inv_bar @ pair.W_chibar @ pair.H_chibar_inv @ chibar
-    residual = _rel_residual(lhs, rhs, pair.T_inv_bar, pair.W_chibar, pair.H_chibar_inv)
+    rhs = chibar @ pair.T_inv_bar @ W_chibar @ pair.H_chibar_inv @ chibar
+    residual = _rel_residual(lhs, rhs, pair.T_inv_bar, W_chibar, pair.H_chibar_inv)
     report = ResidualReport()
     report.add("resolvent/identity", residual, tol.residual_rel)
     return report

@@ -8,12 +8,12 @@ and redrawn (deterministically, from the same stream).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InstanceSpecError, SmoothSchurError
-from .operator_core import DEFAULT_TOL, Tolerances, op_norm, restricted_map
+from .operator_core import DEFAULT_TOL, Tolerances, op_norm
 from .pairs import FeshbachPair, build_pair
 from .partition import (
     Partition,
@@ -134,8 +134,7 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
 
 
 def _well_conditioned(pair: FeshbachPair) -> bool:
-    for M in (pair.H_chibar, pair.T):
-        coords, _ = restricted_map(M, pair.ran_chibar)
+    for coords in (pair.K, pair.T_block):
         if coords.size == 0:
             return False
         s = np.linalg.svd(coords, compute_uv=False)
@@ -158,23 +157,15 @@ def generate(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> Instance:
             W *= scale / op_norm(W)
         H = T + W
         try:
-            pair = build_pair(H, T, partition, tol)
+            if _well_conditioned(build_pair(H, T, partition, tol)):
+                return Instance(spec=spec, H=H, T=T, partition=partition)
         except SmoothSchurError:
-            if spec.perturbation_scale == 0:
-                break
-            continue
-        if _well_conditioned(pair):
-            return Instance(spec=spec, H=H, T=T, partition=partition)
+            pass
         if spec.perturbation_scale == 0:
             break
     raise InstanceSpecError(
         f"could not realize a well-conditioned instance for seed {spec.seed}"
     )
-
-
-def generate_pair(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> FeshbachPair:
-    inst = generate(spec, tol)
-    return build_pair(inst.H, inst.T, inst.partition, tol)
 
 
 def generate_singular(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     EffectiveOperatorSingularError,
     EmptyGridError,
     OperatorSingularError,
@@ -27,6 +26,7 @@ from .operator_core import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _rank_cutoff,
     as_matrix,
     column_space,
     kernel_basis,
@@ -35,7 +35,7 @@ from .operator_core import (
     restricted_inverse,
     restricted_map,
 )
-from .pairs import FeshbachData, FeshbachPair, build_pair, feshbach_map
+from .pairs import FeshbachData, FeshbachPair, _shift_invariants, build_pair, feshbach_map
 from .partition import Partition, make_sharp
 from .report import ResidualReport
 
@@ -96,7 +96,7 @@ def invert_F_via_H(
     """
     H = pair.H
     s = np.linalg.svd(H, compute_uv=False)
-    cutoff = tol.rank_rel * s[0] * pair.dim if s.size else 0.0
+    cutoff = _rank_cutoff(s, H.shape, tol)
     if s.size == 0 or s[-1] <= cutoff:
         raise OperatorSingularError(
             f"H numerically singular: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
@@ -136,13 +136,15 @@ class KernelCorrespondence:
         }
 
 
+#: Acceptance for the kernel correspondence residuals.
+_KERNEL_THRESHOLD = 1e-8
+
+
 def kernel_correspondence(
-    pair: FeshbachPair,
-    data: FeshbachData,
-    tol: Tolerances = DEFAULT_TOL,
-    threshold: float = 1e-8,
+    pair: FeshbachPair, data: FeshbachData, tol: Tolerances = DEFAULT_TOL
 ) -> KernelCorrespondence:
-    """Verify that chi maps ker H onto ker F (within ran chi) and Q maps it back.
+    """Verify that chi maps ker H onto ker F (within ran chi) and Q maps it
+    back, each residual within _KERNEL_THRESHOLD.
 
     ker F is computed inside ran(chi): vectors v = B c with F B c = 0, B an
     orthonormal basis of ran(chi).
@@ -157,14 +159,8 @@ def kernel_correspondence(
 
     chi_res = 0.0
     roundtrip = 0.0
-    if ker_F_basis.shape[1]:
-        P_F = ker_F_basis @ ker_F_basis.conj().T
-    else:
-        P_F = np.zeros((pair.dim, pair.dim), dtype=complex)
-    if ker_H.dim:
-        P_H = ker_H.basis @ ker_H.basis.conj().T
-    else:
-        P_H = np.zeros((pair.dim, pair.dim), dtype=complex)
+    P_F = ker_F_basis @ ker_F_basis.conj().T
+    P_H = ker_H.projector()
 
     for j in range(ker_H.dim):
         v = ker_H.basis[:, j]
@@ -185,7 +181,7 @@ def kernel_correspondence(
         chi_maps_residual=chi_res,
         q_maps_residual=q_res,
         roundtrip_residual=roundtrip,
-        threshold=threshold,
+        threshold=_KERNEL_THRESHOLD,
     )
 
 
@@ -220,6 +216,9 @@ def _grid_resolution(grid) -> float:
 #: Bytes allowed per stacked array in a spectral scan's batched solves.
 _SCAN_CHUNK_BYTES = 256 * 1024
 
+#: Eigenvalue candidates dip below this many grid resolutions, times 1 + ||H||.
+_FLAG_SCALE = 10.0
+
 #: Relative slack on the Frobenius bracket of a spectral norm.  It is far
 #: above the rounding of either norm, so a verdict taken from the bracket is
 #: the one the exact norm would give.
@@ -239,45 +238,34 @@ class _ShiftedScan:
     Shifting H and T together leaves W, ran(chi), ran(chibar), both
     commutation residuals and both leaks off ran(chibar) unchanged; only the
     k x k compressions of T and H_chibar to ran(chibar) move.  Everything
-    else is computed here, once.  A validated partition has chi and chibar
-    nonzero, so both ranges have dimension at least 1.
+    else is computed here, once, by the _shift_invariants that build_pair
+    uses.  A validated partition has chi and chibar nonzero, so both ranges
+    have dimension at least 1.
     """
 
     def __init__(self, H, T, partition: Partition, tol: Tolerances):
-        n = partition.dim
-        if H.shape != (n, n) or T.shape != (n, n):
-            raise DimensionMismatchError(
-                f"H {H.shape} / T {T.shape} incompatible with partition dim {n}"
-            )
-        chi, chibar = partition.chi, partition.chibar
-        W = H - T
-        H_chi = T + chi @ W @ chi
-        H_chibar = T + chibar @ W @ chibar
-        ran_chibar = column_space(chibar, tol)
-        B = ran_chibar.basis
+        fixed = _shift_invariants(H, T, partition, tol)
+        chi, chibar, W = partition.chi, partition.chibar, fixed.W
+        B = fixed.ran_chibar.basis
         C = column_space(chi, tol).basis
         Bh, Ch = B.conj().T, C.conj().T
-
-        T_block, t_leak = restricted_map(T, ran_chibar, tol)
-        K, k_leak = restricted_map(H_chibar, ran_chibar, tol)
-        commutation = [(op_norm(c @ T - T @ c), op_norm(c)) for c in (chi, chibar)]
         # (operator A, its squared Frobenius norm off the diagonal, which a
         # shift leaves alone, [(residual, factor norm)]): each residual must
         # stay within rel_threshold(factor, ||A - lam||), as in build_pair
         self.gates = [
-            (T, _off_diagonal_sq(T), commutation + [(t_leak, 1.0)]),
-            (H_chibar, _off_diagonal_sq(H_chibar), [(k_leak, 1.0)]),
+            (T, _off_diagonal_sq(T), [*fixed.commutation, (fixed.T_leak, 1.0)]),
+            (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(fixed.K_leak, 1.0)]),
         ]
-        self.blocks = (T_block, K)
+        self.blocks = (fixed.T_block, fixed.K)
         self.gram_B = Bh @ B
-        self.F0 = Ch @ H_chi @ C
+        self.F0 = Ch @ fixed.H_chi @ C
         self.gram_C = Ch @ C
         self.left = Ch @ chi @ W @ chibar @ B
         self.right = Bh @ chibar @ W @ chi @ C
         self.tol = tol
-        self.n = n
+        self.n = partition.dim
         k, m = B.shape[1], C.shape[1]
-        self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, n)))
+        self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
         """(smallest sv of F_c, pair valid) at each shift in lams."""
@@ -321,31 +309,20 @@ class _ShiftedScan:
 
     def _nonsingular(self, blocks: np.ndarray) -> np.ndarray:
         """Whether each stacked k x k block passes the rank cutoff that
-        restricted_inverse applies; non-finite blocks fail."""
-        k = blocks.shape[-1]
+        _gate_block applies; non-finite blocks fail."""
         ok = np.isfinite(blocks).all(axis=(1, 2))
         s = np.linalg.svd(blocks[ok], compute_uv=False)
-        smin = s[:, -1]
-        ok[ok] = (smin > self.tol.rank_rel * s[:, 0] * k) & (smin != 0.0)
+        ok[ok] = s[:, -1] > _rank_cutoff(s, blocks.shape[-2:], self.tol)
         return ok
 
 
-def spectral_scan(
-    H,
-    T,
-    partition: Partition,
-    grid,
-    tol: Tolerances = DEFAULT_TOL,
-    flag_scale: float = 10.0,
-) -> ScanResult:
+def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TOL) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
     record the smallest singular value of F(lambda) compressed to ran(chi).
 
     Shifting H and T together changes only the k x k compressions of T and
-    H_chibar to ran(chibar).  So W, the bases B of ran(chibar) and C of
-    ran(chi), both commutation residuals, both leaks off ran(chibar) and
-    the compressed blocks are computed once per scan, and each point costs
-    k x k and k x m work for m = dim ran(chi):
+    H_chibar to ran(chibar), so everything else is computed once per scan
+    and each point costs k x k and k x m work for m = dim ran(chi):
 
         F_c(lambda) = C*H_chi C - lambda C*C
                       - (C*chi W chibar B) (K - lambda)^-1 (B*chibar W chi C),
@@ -363,7 +340,7 @@ def spectral_scan(
     chunk once a single k x k block is larger).
 
     Eigenvalue candidates are grid points whose singular value dips below
-    flag_scale * resolution * (1 + ||H||); local minima of the dip are
+    _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
     flagged.  Raises DimensionMismatchError when H or T does not match the
     partition.
     """
@@ -383,7 +360,7 @@ def spectral_scan(
     valid = valid.tolist()
 
     resolution = _grid_resolution(grid)
-    cut = flag_scale * resolution * (1.0 + op_norm(H))
+    cut = _FLAG_SCALE * resolution * (1.0 + op_norm(H))
     flagged = []
     for i, lam in enumerate(grid):
         if not valid[i] or not (svs[i] <= cut):

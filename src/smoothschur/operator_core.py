@@ -1,9 +1,12 @@
 """Dense complex matrix substrate: norms, kernels, column spaces, and
-inverses of operators restricted to subspaces.
+operators restricted to subspaces.
 
-Every operator in this package is an explicit complex ndarray.  Inverses on a
-subspace are materialized as full-size matrices that vanish on the orthogonal
-complement, so that all later identity checks reduce to plain matrix algebra.
+Every operator in this package is an explicit complex ndarray.  An operator
+restricted to a subspace with orthonormal basis B is kept in coordinates, as
+its k x k compression B^H A B; the gate deciding whether that block is
+invertible (leak off the subspace, smallest singular value against the rank
+cutoff) lives here.  restricted_inverse zero-extends the inverse block to a
+full-size matrix for callers that need one.
 """
 from __future__ import annotations
 
@@ -107,13 +110,10 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, vectors: np.ndarray, tol: float = 1e-8) -> bool:
-        """True if every column of `vectors` lies in the subspace."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=complex))
-        if v.shape[0] != self.ambient_dim:
-            v = v.T
-        residual = v - self.projector() @ v
-        return op_norm(residual) <= tol * max(op_norm(v), 1.0)
+    def zero_extended_inverse(self, block: np.ndarray) -> np.ndarray:
+        """B block^-1 B^H: the inverse of a k x k block in the coordinates of
+        the basis B, as an n x n matrix vanishing off the subspace."""
+        return self.basis @ np.linalg.solve(block, self.basis.conj().T)
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -143,8 +143,11 @@ def _fix_gauge(cols: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple, tol: Tolerances) -> float:
-    smax = s.max() if s.size else 0.0
+def _rank_cutoff(s: np.ndarray, shape: tuple, tol: Tolerances):
+    """Singular values at or below this count as zero.  s holds the singular
+    values of one matrix of the given shape along its last axis, stacked along
+    any leading axes (one cutoff per matrix)."""
+    smax = s.max(axis=-1) if s.shape[-1] else 0.0
     return tol.rank_rel * smax * max(shape)
 
 
@@ -199,26 +202,34 @@ def restricted_map(A, V: Subspace, tol: Tolerances = DEFAULT_TOL):
     return coords, leak
 
 
+def _gate_block(coords: np.ndarray, leak: float, norm: float, tol: Tolerances):
+    """Gate the compression (coords, leak) from restricted_map of an operator
+    of norm `norm`: raise SubspaceLeakError when leak > rel_threshold(tol,
+    norm), SingularRestrictionError when the smallest singular value of
+    coords is at or below its rank cutoff.  Returns the margins decided on,
+    (leak threshold, smallest sv, rank cutoff); an empty block gives 0, 0.
+    """
+    threshold = rel_threshold(tol, norm)
+    if leak > threshold:
+        raise SubspaceLeakError(leak, threshold)
+    s = np.linalg.svd(coords, compute_uv=False)
+    if not s.size:
+        return threshold, 0.0, 0.0
+    cutoff = _rank_cutoff(s, coords.shape, tol)
+    if s[-1] <= cutoff:
+        raise SingularRestrictionError(
+            f"compression singular on the subspace: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
+        )
+    return threshold, float(s[-1]), float(cutoff)
+
+
 def restricted_inverse(A, V: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of A restricted to V, extended by zero off V.
 
     Requires A to map V into V (small leak) and the compression B^H A B to be
-    numerically invertible.  The result G satisfies G A v = A G v = v for
-    v in V and G w = 0 for w orthogonal to V.
+    numerically invertible (see _gate_block).  The result G satisfies
+    G A v = A G v = v for v in V and G w = 0 for w orthogonal to V.
     """
     coords, leak = restricted_map(A, V, tol)
-    threshold = rel_threshold(tol, op_norm(A))
-    if leak > threshold:
-        raise SubspaceLeakError(leak, threshold)
-    B = V.basis
-    k = V.dim
-    if k == 0:
-        return np.zeros((V.ambient_dim, V.ambient_dim), dtype=complex)
-    s = np.linalg.svd(coords, compute_uv=False)
-    cutoff = _rank_cutoff(s, coords.shape, tol)
-    if s[-1] <= cutoff or s[-1] == 0.0:
-        raise SingularRestrictionError(
-            f"compression singular on the subspace: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
-        )
-    inv_coords = np.linalg.solve(coords, np.eye(k, dtype=complex))
-    return B @ inv_coords @ B.conj().T
+    _gate_block(coords, leak, op_norm(A), tol)
+    return V.zero_extended_inverse(coords)

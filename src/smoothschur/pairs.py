@@ -12,12 +12,16 @@ Given a valid pair, the map and its auxiliary operators are
   Q       = chi - chibar H_chibar^{-1} chibar W chi
   Q_sharp = chi - chi W chibar H_chibar^{-1} chibar
 
-with H_chi = T + chi*W*chi.  All inverses on ran(chibar) are materialized
-as full matrices vanishing off the subspace.
+with H_chi = T + chi*W*chi.  The pair keeps T and H_chibar on ran(chibar) as
+k x k blocks in the coordinates of its orthonormal basis B, and the map
+solves against the block K = B*H_chibar B; the zero-extended n x n inverses
+are built only when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +37,47 @@ from .operator_core import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _gate_block,
     as_matrix,
     column_space,
     op_norm,
     rel_threshold,
-    restricted_inverse,
+    restricted_map,
 )
 from .partition import Partition
 from .report import ResidualReport
+
+
+class _ShiftInvariants(NamedTuple):
+    """The part of a pair that a common shift of H and T leaves unchanged,
+    but for T_block and K, which move by -lam B*B."""
+
+    W: np.ndarray
+    H_chi: np.ndarray
+    H_chibar: np.ndarray
+    ran_chibar: Subspace
+    commutation: tuple  # (||c T - T c||, ||c||) for c = chi, chibar
+    T_block: np.ndarray  # B*TB
+    T_leak: float  # ||(1 - BB*) T B||
+    K: np.ndarray  # B*H_chibar B
+    K_leak: float  # ||(1 - BB*) H_chibar B||
+
+
+def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
+    """W, H_chi, H_chibar, ran(chibar), the commutation residuals with their
+    factor norms, and the compressions of T and H_chibar to ran(chibar)."""
+    n = partition.dim
+    if H.shape != (n, n) or T.shape != (n, n):
+        raise DimensionMismatchError(f"H {H.shape} / T {T.shape} incompatible with partition dim {n}")
+    chi, chibar = partition.chi, partition.chibar
+    W = H - T
+    H_chibar = T + chibar @ W @ chibar
+    ran_chibar = column_space(chibar, tol)
+    commutation = tuple((op_norm(c @ T - T @ c), op_norm(c)) for c in (chi, chibar))
+    return _ShiftInvariants(
+        W, T + chi @ W @ chi, H_chibar, ran_chibar, commutation,
+        *restricted_map(T, ran_chibar, tol), *restricted_map(H_chibar, ran_chibar, tol),
+    )
 
 
 @dataclass(frozen=True)
@@ -51,13 +88,11 @@ class FeshbachPair:
     T: np.ndarray
     partition: Partition
     W: np.ndarray
-    W_chi: np.ndarray
-    W_chibar: np.ndarray
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
-    H_chibar_inv: np.ndarray
-    T_inv_bar: np.ndarray
+    T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
+    K: np.ndarray  # B*H_chibar B
     evidence: ResidualReport
 
     @property
@@ -71,6 +106,16 @@ class FeshbachPair:
     @property
     def chibar(self) -> np.ndarray:
         return self.partition.chibar
+
+    @cached_property
+    def T_inv_bar(self) -> np.ndarray:
+        """T^{-1} on ran(chibar), extended by zero off it."""
+        return self.ran_chibar.zero_extended_inverse(self.T_block)
+
+    @cached_property
+    def H_chibar_inv(self) -> np.ndarray:
+        """H_chibar^{-1} on ran(chibar), extended by zero off it."""
+        return self.ran_chibar.zero_extended_inverse(self.K)
 
 
 @dataclass(frozen=True)
@@ -86,99 +131,76 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
     """Assemble and validate a pair (H, T) for the given partition."""
     H = as_matrix(H)
     T = as_matrix(T)
-    n = partition.dim
-    if H.shape != (n, n) or T.shape != (n, n):
-        raise DimensionMismatchError(
-            f"H {H.shape} / T {T.shape} incompatible with partition dim {n}"
-        )
-    chi, chibar = partition.chi, partition.chibar
+    fixed = _shift_invariants(H, T, partition, tol)
 
     evidence = ResidualReport()
     evidence.extend(partition.evidence)
 
     # condition (a): T commutes with chi and chibar
     nT = op_norm(T)
-    for label, c in (("chi", chi), ("chibar", chibar)):
-        residual = op_norm(c @ T - T @ c)
-        threshold = rel_threshold(tol, op_norm(c), nT)
+    for label, (residual, factor) in zip(("chi", "chibar"), fixed.commutation):
+        threshold = rel_threshold(tol, factor, nT)
         entry = evidence.add(f"pair/commutation_{label}_T", residual, threshold)
         if not entry.passed:
             raise CommutationError(
                 f"{label} does not commute with T: residual {residual:.3e} > {threshold:.3e}"
             )
 
-    W = H - T
-    W_chi = chi @ W @ chi
-    W_chibar = chibar @ W @ chibar
-    H_chi = T + W_chi
-    H_chibar = T + W_chibar
-    ran_chibar = column_space(chibar, tol)
-
-    # condition (b): T and H_chibar invertible on ran(chibar)
-    try:
-        T_inv_bar = restricted_inverse(T, ran_chibar, tol)
-    except (SubspaceLeakError, SingularRestrictionError) as exc:
-        raise BlockInvertibilityError(f"T not invertible on ran(chibar): {exc}") from exc
-    try:
-        H_chibar_inv = restricted_inverse(H_chibar, ran_chibar, tol)
-    except (SubspaceLeakError, SingularRestrictionError) as exc:
-        raise BlockInvertibilityError(
-            f"H_chibar not invertible on ran(chibar): {exc}"
-        ) from exc
-    evidence.add("pair/T_invertible_on_ran_chibar", 0.0, 1.0, note="restricted inverse built")
-    evidence.add("pair/H_chibar_invertible_on_ran_chibar", 0.0, 1.0, note="restricted inverse built")
+    # condition (b): T and H_chibar invertible on ran(chibar); each block's
+    # leak is recorded against its threshold, and its rank cutoff against its
+    # smallest singular value
+    for label, block, leak, norm in (
+        ("T", fixed.T_block, fixed.T_leak, nT),
+        ("H_chibar", fixed.K, fixed.K_leak, op_norm(fixed.H_chibar)),
+    ):
+        try:
+            threshold, smin, cutoff = _gate_block(block, leak, norm, tol)
+        except (SubspaceLeakError, SingularRestrictionError) as exc:
+            raise BlockInvertibilityError(f"{label} not invertible on ran(chibar): {exc}") from exc
+        evidence.add(f"pair/{label}_block_leak", leak, threshold)
+        evidence.add(f"pair/{label}_block_rank_cutoff", cutoff, smin, note="below smallest sv")
 
     # condition (c): always finite here; record the coupling norm
-    coupling = op_norm(chibar @ H_chibar_inv @ chibar @ W @ chi)
+    chi, chibar, W = partition.chi, partition.chibar, fixed.W
+    B = fixed.ran_chibar.basis
+    coupling = op_norm(chibar @ B @ np.linalg.solve(fixed.K, B.conj().T @ chibar @ W @ chi))
     evidence.add("pair/coupling_norm", 0.0, 1.0, note=f"automatic, norm={coupling:.6e}")
 
     return FeshbachPair(
-        H=H,
-        T=T,
-        partition=partition,
-        W=W,
-        W_chi=W_chi,
-        W_chibar=W_chibar,
-        H_chi=H_chi,
-        H_chibar=H_chibar,
-        ran_chibar=ran_chibar,
-        H_chibar_inv=H_chibar_inv,
-        T_inv_bar=T_inv_bar,
-        evidence=evidence,
+        H=H, T=T, partition=partition, W=W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
+        ran_chibar=fixed.ran_chibar, T_block=fixed.T_block, K=fixed.K, evidence=evidence,
     )
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:
-    """Compute F, Q, and Q_sharp for a validated pair.
+    """Compute F, Q, and Q_sharp for a validated pair, solving against the
+    block K = B*H_chibar B on ran(chibar):
 
-    The chibar factors around the zero-extended inverse are kept literal even
-    though chibar*H_chibar_inv*chibar equals H_chibar_inv up to the
-    zero-extension convention.
+      F       = H_chi - chi W chibar B K^{-1} B* chibar W chi
+      Q       = chi - chibar B K^{-1} B* chibar W chi
+      Q_sharp = chi - chi W chibar B K^{-1} B* chibar
     """
-    chi, chibar, W = pair.chi, pair.chibar, pair.W
-    G = pair.H_chibar_inv
-    cross = chibar @ G @ chibar @ W @ chi
-    F = pair.H_chi - chi @ W @ cross
-    Q = chi - cross
-    Q_sharp = chi - chi @ W @ chibar @ G @ chibar
+    chi, chibar, W, K = pair.chi, pair.chibar, pair.W, pair.K
+    B = pair.ran_chibar.basis
+    Bh_chibar = B.conj().T @ chibar
+    left = chi @ W @ chibar @ B
+    cross = np.linalg.solve(K, Bh_chibar @ W @ chi)
+    F = pair.H_chi - left @ cross
+    Q = chi - chibar @ B @ cross
+    Q_sharp = chi - left @ np.linalg.solve(K, Bh_chibar)
     return FeshbachData(F=F, Q=Q, Q_sharp=Q_sharp)
 
 
-def sufficient_conditions(pair: FeshbachPair, tol: Tolerances = DEFAULT_TOL) -> ResidualReport:
+def sufficient_conditions(pair: FeshbachPair) -> ResidualReport:
     """Report the checkable sufficient conditions for pair validity.
 
-    Commutation residuals are re-reported, and the two coupling norms
-    ||T^{-1} chibar W chibar|| and ||chibar W T^{-1} chibar|| are checked
-    against 1.  These conditions are sufficient, not necessary: a pair that
-    passed direct validation may still fail them.
+    The two coupling norms ||T^{-1} chibar W chibar|| and
+    ||chibar W T^{-1} chibar|| are checked against 1 (the commutation
+    residuals are in pair.evidence).  These conditions are sufficient, not
+    necessary: a pair that passed direct validation may still fail them.
     """
-    chi, chibar, T, W = pair.chi, pair.chibar, pair.T, pair.W
+    chibar, W = pair.chibar, pair.W
     report = ResidualReport()
-    nT = op_norm(T)
-    for label, c in (("chi", chi), ("chibar", chibar)):
-        residual = op_norm(c @ T - T @ c)
-        report.add(f"sufficient/commutation_{label}_T", residual, rel_threshold(tol, op_norm(c), nT))
-
     Tib = pair.T_inv_bar
     left = op_norm(Tib @ chibar @ W @ chibar)
     right = op_norm(chibar @ W @ Tib @ chibar)
@@ -208,25 +230,18 @@ def neumann_inverse(
     """
     chibar, W = pair.chibar, pair.W
     Tib = pair.T_inv_bar
-    n = pair.dim
-    K = chibar @ W @ Tib @ chibar
-    q = op_norm(K)
+    M = chibar @ W @ Tib @ chibar
+    q = op_norm(M)
     if q >= 1.0:
         raise ContractionError(q)
 
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    terms_used = 1
-    truncated = False
-    while True:
-        nxt = -K @ term
-        if op_norm(nxt) <= tol.neumann_tol:
-            break
+    total = term = np.eye(pair.dim, dtype=complex)
+    terms_used, truncated = 1, False
+    while op_norm(term := -M @ term) > tol.neumann_tol:
         if terms_used >= max_terms:
             truncated = True
             break
-        total = total + nxt
-        term = nxt
+        total = total + term
         terms_used += 1
     approx_inv = Tib @ total
     B = pair.ran_chibar.basis

@@ -51,7 +51,7 @@ def test_resolvent_zero_when_w_chibar_zero():
     inst = worked_2x2()
     pair = build_pair(inst.H, inst.T, inst.partition)
     assert np.count_nonzero(pair.W) > 0
-    assert np.allclose(pair.W_chibar, np.zeros((2, 2)))
+    assert np.allclose(pair.chibar @ pair.W @ pair.chibar, np.zeros((2, 2)))
     rep = verify_resolvent(pair)
     assert rep.max_residual <= 1e-15
 

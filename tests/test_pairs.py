@@ -5,6 +5,7 @@ from smoothschur import (
     BlockInvertibilityError,
     CommutationError,
     ContractionError,
+    FeshbachData,
     build_pair,
     column_space,
     feshbach_map,
@@ -14,6 +15,9 @@ from smoothschur import (
     restricted_inverse,
     sufficient_conditions,
     validate_partition,
+    verify_alt_remark,
+    verify_basics,
+    verify_resolvent,
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate
@@ -31,7 +35,7 @@ class TestBuildPair:
     def test_worked_2x2_fields(self, worked_pair):
         pair = worked_pair
         assert np.allclose(pair.W, [[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(pair.W_chi, np.zeros((2, 2)))
+        assert np.allclose(pair.chi @ pair.W @ pair.chi, np.zeros((2, 2)))
         assert np.allclose(pair.H_chibar, np.diag([2.0, 3.0]))
         assert np.allclose(pair.H_chibar_inv, np.diag([0.0, 1.0 / 3.0]))
         assert pair.evidence.passed
@@ -41,7 +45,25 @@ class TestBuildPair:
         T = np.diag([1.0, 2.0, 3.0]).astype(complex)
         pair = build_pair(T, T, part)
         assert op_norm(pair.W) == 0.0
-        assert op_norm(pair.W_chi) == 0.0 and op_norm(pair.W_chibar) == 0.0
+        assert op_norm(pair.chi @ pair.W @ pair.chi) == 0.0
+        assert op_norm(pair.chibar @ pair.W @ pair.chibar) == 0.0
+
+    def test_block_evidence_records_margins(self, worked_pair):
+        # ran(chibar) = e2: T and H_chibar are both 3 there, with no leak
+        ev = worked_pair.evidence
+        for label in ("T", "H_chibar"):
+            leak = ev[f"pair/{label}_block_leak"]
+            assert leak.residual == 0.0 and leak.threshold == pytest.approx(3e-9)
+            rank = ev[f"pair/{label}_block_rank_cutoff"]
+            assert rank.threshold == pytest.approx(3.0)  # smallest sv of the 1x1 block
+            assert rank.residual == pytest.approx(3e-10)  # rank_rel * 3 * 1
+            assert leak.passed and rank.passed
+
+    def test_inverses_built_only_when_read(self, worked_pair):
+        feshbach_map(worked_pair)
+        assert "T_inv_bar" not in vars(worked_pair)
+        assert "H_chibar_inv" not in vars(worked_pair)
+        assert worked_pair.T_inv_bar is worked_pair.T_inv_bar
 
     def test_t_singular_on_ran_chibar(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -188,3 +210,41 @@ def test_zero_extension_identity_on_ran_chibar():
         assert op_norm(pair.H_chibar_inv @ pair.H_chibar @ B - B) <= 1e-9 * (
             1 + op_norm(pair.H_chibar)
         )
+
+
+def _reference_map(pair):
+    """F, Q, Q_sharp and the two zero-extended inverses from the literal
+    formulas, with the inverses taken from restricted_inverse."""
+    chi, chibar, W = pair.chi, pair.chibar, pair.W
+    G = restricted_inverse(pair.H_chibar, pair.ran_chibar)
+    T_inv = restricted_inverse(pair.T, pair.ran_chibar)
+    cross = chibar @ G @ chibar @ W @ chi
+    F = pair.T + chi @ W @ chi - chi @ W @ cross
+    Q_sharp = chi - chi @ W @ chibar @ G @ chibar
+    return FeshbachData(F=F, Q=chi - cross, Q_sharp=Q_sharp), G, T_inv
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
+def test_block_solves_match_inverse_formulas(kind, n, scale):
+    spec = InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=derived_seed(41, n))
+    inst = generate(spec)
+    pair = build_pair(inst.H, inst.T, inst.partition)
+    data = feshbach_map(pair)
+    ref, G, T_inv = _reference_map(pair)
+    for got, want in (
+        (data.F, ref.F),
+        (data.Q, ref.Q),
+        (data.Q_sharp, ref.Q_sharp),
+        (pair.H_chibar_inv, G),
+        (pair.T_inv_bar, T_inv),
+    ):
+        assert op_norm(got - want) <= 1e-12 * (1 + op_norm(want))
+
+    def verdicts(d):
+        reports = (verify_basics(pair, d), verify_resolvent(pair), verify_alt_remark(pair, d))
+        return [(e.label, e.passed) for r in reports for e in r]
+
+    assert verdicts(data) == verdicts(ref)
+    assert all(passed for _, passed in verdicts(data))
