@@ -6,9 +6,9 @@ Exit status: 0 all checks pass, 1 property failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,9 @@ from .isospectral import (
     spectral_scan,
 )
 from .matio import read_matrix, write_json, write_matrix
-from .operator_core import Tolerances, numerical_rank, smallest_sv
+from .operator_core import DEFAULT_TOL, Tolerances, numerical_rank, smallest_sv
 from .pairs import build_pair, feshbach_map, sufficient_conditions
-from .partition import validate_partition
+from .partition import Partition, validate_partition
 
 SCHEMA = "1.0"
 MATRIX_FILES = ("H", "T", "chi", "chibar")
@@ -36,18 +36,13 @@ _ADVISORY_PREFIXES = ("sufficient/contraction",)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank-tol", type=float, default=1e-10, help="relative singular-value cutoff")
-    p.add_argument("--res-tol", type=float, default=1e-9, help="relative residual acceptance")
-    p.add_argument("--neumann-tol", type=float, default=1e-12, help="series truncation threshold")
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_rel, help="relative singular-value cutoff")
+    p.add_argument("--res-tol", type=float, default=DEFAULT_TOL.residual_rel, help="relative residual acceptance")
     p.add_argument("--json", type=Path, default=None, help="write a machine-readable report here")
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(rank_rel=args.rank_tol, residual_rel=args.res_tol, neumann_tol=args.neumann_tol)
-
-
-def _tol_dict(tol: Tolerances) -> dict:
-    return {"rank_rel": tol.rank_rel, "residual_rel": tol.residual_rel, "neumann_tol": tol.neumann_tol}
+    return Tolerances(rank_rel=args.rank_tol, residual_rel=args.res_tol)
 
 
 def _load_instance_dir(directory: Path) -> dict:
@@ -81,9 +76,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_instance(H, T, chi, chibar, tol: Tolerances):
+def _check_instance(H, T, partition: Partition, tol: Tolerances):
     """The `check` report as a JSON-ready dict, and its ResidualReports by name."""
-    partition = validate_partition(chi, chibar, tol)
     pair = build_pair(H, T, partition, tol)
     data = feshbach_map(pair)
 
@@ -106,7 +100,7 @@ def _check_instance(H, T, chi, chibar, tol: Tolerances):
 
     return {
         "schema": SCHEMA,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         "reports": {name: report.to_dict() for name, report in reports.items()},
         "kernel": kernel.to_dict(),
         "summary": {"pass": not failures, "failures": sorted(failures)},
@@ -117,7 +111,8 @@ def cmd_check(args) -> int:
     tol = _tolerances(args)
     mats = _load_instance_dir(args.instance)
     started = time.perf_counter()
-    result, reports = _check_instance(mats["H"], mats["T"], mats["chi"], mats["chibar"], tol)
+    partition = validate_partition(mats["chi"], mats["chibar"], tol)
+    result, reports = _check_instance(mats["H"], mats["T"], partition, tol)
     elapsed = time.perf_counter() - started
 
     for name, report in reports.items():
@@ -165,7 +160,7 @@ def cmd_scan(args) -> int:
     if args.json:
         payload = result.to_dict()
         payload["schema"] = SCHEMA
-        payload["tolerances"] = _tol_dict(tol)
+        payload["tolerances"] = asdict(tol)
         write_json(args.json, payload)
     return 0
 
@@ -191,7 +186,7 @@ def cmd_reduce(args) -> int:
             args.json,
             {
                 "schema": SCHEMA,
-                "tolerances": _tol_dict(tol),
+                "tolerances": asdict(tol),
                 "dims": dims,
                 "final_smallest_sv": smallest_sv(final),
                 "H_invertible": h_invertible,
@@ -222,23 +217,13 @@ def cmd_fuzz(args) -> int:
             seed=derived_seed(args.seed, trial),
         )
         inst = generate(spec, tol)
-        pair = build_pair(inst.H, inst.T, inst.partition, tol)
-        data = feshbach_map(pair)
-        reports = [
-            pair.evidence,
-            verify_basics(pair, data, tol),
-            verify_resolvent(pair, tol),
-            verify_alt_remark(pair, data, tol),
-        ]
-        for report in reports:
+        result, reports = _check_instance(inst.H, inst.T, inst.partition, tol)
+        for report in reports.values():
             for entry in report:
                 worst[entry.label] = max(worst.get(entry.label, 0.0), entry.residual)
-                if not entry.passed:
-                    failures += 1
-        kernel = kernel_correspondence(pair, data, tol)
-        worst["kernel/roundtrip"] = max(worst.get("kernel/roundtrip", 0.0), kernel.roundtrip_residual)
-        if not kernel.passed:
-            failures += 1
+        roundtrip = result["kernel"]["roundtrip_residual"]
+        worst["kernel/roundtrip"] = max(worst.get("kernel/roundtrip", 0.0), roundtrip)
+        failures += len(result["summary"]["failures"])
 
     print(f"fuzz: {args.trials} trials, kinds={','.join(kinds)}, dims {args.dim_min}..{args.dim_max}")
     for label in sorted(worst):
@@ -249,7 +234,7 @@ def cmd_fuzz(args) -> int:
             args.json,
             {
                 "schema": SCHEMA,
-                "tolerances": _tol_dict(tol),
+                "tolerances": asdict(tol),
                 "trials": args.trials,
                 "kinds": kinds,
                 "dims": [args.dim_min, args.dim_max],

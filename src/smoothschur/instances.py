@@ -30,6 +30,12 @@ KINDS = ("sharp", "smooth", "nonselfadjoint")
 _CONDITION_MARGIN = 1e-3
 _MAX_REDRAWS = 64
 
+#: generate_singular plants a kernel only in an H whose smallest sv is at
+#: least this, and keeps a draw only if the singular values that survive
+#: stay above this fraction of the largest
+_PLANT_BASE_MIN_SV = 1e-3
+_PLANT_SURVIVOR_REL = 1e-4
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -38,8 +44,6 @@ class InstanceSpec:
     dim: int
     partition_kind: str
     perturbation_scale: float = 0.1
-    generator_spectrum: tuple = ()
-    cutoff_params: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -51,16 +55,12 @@ class InstanceSpec:
             )
         if self.perturbation_scale < 0:
             raise InstanceSpecError("perturbation_scale must be nonnegative")
-        if self.generator_spectrum and len(self.generator_spectrum) != self.dim:
-            raise InstanceSpecError("generator_spectrum length must equal dim")
 
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
             "partition_kind": self.partition_kind,
             "perturbation_scale": self.perturbation_scale,
-            "generator_spectrum": [[complex(z).real, complex(z).imag] for z in self.generator_spectrum],
-            "cutoff_params": list(self.cutoff_params),
             "seed": self.seed,
         }
 
@@ -92,29 +92,18 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
     n = spec.dim
     kind = spec.partition_kind
     if kind == "sharp":
-        rank = int(spec.cutoff_params[0]) if spec.cutoff_params else max(1, n // 2)
-        rank = min(max(rank, 1), n - 1)
+        rank = n // 2
         U = random_unitary(rng, n)
         P = U[:, :rank] @ U[:, :rank].conj().T
         partition = make_sharp(P, tol)
-        if spec.generator_spectrum:
-            t = np.asarray(spec.generator_spectrum, dtype=complex)
-        else:
-            t = rng.uniform(1.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        t = rng.uniform(1.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         T = (U * t) @ U.conj().T
         return partition, T
     if kind == "smooth":
         U = random_unitary(rng, n)
-        if spec.generator_spectrum:
-            lam = np.asarray(spec.generator_spectrum, dtype=float)
-        else:
-            lam = rng.uniform(0.1, 0.9, n)
-        Hf = (U * lam) @ U.conj().T
+        Hf = (U * rng.uniform(0.1, 0.9, n)) @ U.conj().T
         Hf = (Hf + Hf.conj().T) / 2
-        lo, hi = spec.cutoff_params if len(spec.cutoff_params) == 2 else (0.0, 1.0)
-        partition = make_smooth_selfadjoint(
-            Hf, lambda w: smoothstep((np.real(w) - lo) / (hi - lo)), tol
-        )
+        partition = make_smooth_selfadjoint(Hf, smoothstep, tol)
         T = make_commuting_T(Hf, lambda w: w + 1.2 + 0.3j, tol)
         return partition, T
     # nonselfadjoint
@@ -122,21 +111,15 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
     R = _crandn(rng, n, n)
     R /= op_norm(R)
     V = U @ (np.eye(n) + 0.3 * R)
-    if spec.generator_spectrum:
-        a = np.asarray(spec.generator_spectrum, dtype=complex)
-    else:
-        a = rng.uniform(0.3, 1.2, n) + 0.1j * rng.uniform(-1.0, 1.0, n)
+    a = rng.uniform(0.3, 1.2, n) + 0.1j * rng.uniform(-1.0, 1.0, n)
     A = (V * a) @ np.linalg.inv(V)
-    alpha, beta = spec.cutoff_params if len(spec.cutoff_params) == 2 else (1.0, 0.0)
-    partition = make_nonselfadjoint(A, lambda w: alpha * w + beta, tol)
+    partition = make_nonselfadjoint(A, lambda w: w, tol)
     T = make_commuting_T(A, lambda w: w + 1.2, tol)
     return partition, T
 
 
 def _well_conditioned(pair: FeshbachPair) -> bool:
     for coords in (pair.K, pair.T_block):
-        if coords.size == 0:
-            return False
         s = np.linalg.svd(coords, compute_uv=False)
         if s[-1] < _CONDITION_MARGIN * s[0]:
             return False
@@ -181,7 +164,7 @@ def generate_singular(
     base = generate(spec, tol)
     n = spec.dim
     rng = np.random.default_rng(derived_seed(spec.seed, 0xC0FFEE, kernel_dim))
-    if np.linalg.svd(base.H, compute_uv=False)[-1] < 1e-3:
+    if np.linalg.svd(base.H, compute_uv=False)[-1] < _PLANT_BASE_MIN_SV:
         raise InstanceSpecError("base instance too close to singular for kernel planting")
     for _ in range(_MAX_REDRAWS):
         V, _ = np.linalg.qr(_crandn(rng, n, kernel_dim))
@@ -193,8 +176,7 @@ def generate_singular(
         if not _well_conditioned(pair):
             continue
         s = np.linalg.svd(H, compute_uv=False)
-        # surviving singular values must stay well above the rank cutoff
-        if s[n - kernel_dim - 1] > 1e-4 * s[0]:
+        if s[n - kernel_dim - 1] > _PLANT_SURVIVOR_REL * s[0]:
             return Instance(spec=spec, H=H, T=base.T, partition=base.partition)
     raise InstanceSpecError(
         f"could not plant a clean kernel of dim {kernel_dim} for seed {spec.seed}"

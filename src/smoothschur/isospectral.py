@@ -56,11 +56,11 @@ def admissible_subspace_check(
     containment = op_norm((eye - P) @ chi) / (1.0 + op_norm(chi))
     report.add("subspace/contains_ran_chi", containment, tol.residual_rel)
 
-    _, t_leak = restricted_map(pair.T, V, tol)
+    _, t_leak = restricted_map(pair.T, V)
     report.add("subspace/T_invariant", t_leak, rel_threshold(tol, op_norm(pair.T)))
 
     Tb = pair.chibar @ pair.T_inv_bar @ pair.chibar
-    _, tb_leak = restricted_map(Tb, V, tol)
+    _, tb_leak = restricted_map(Tb, V)
     report.add("subspace/T_inv_bar_invariant", tb_leak, rel_threshold(tol, op_norm(Tb)))
     return report
 
@@ -140,6 +140,11 @@ class KernelCorrespondence:
 _KERNEL_THRESHOLD = 1e-8
 
 
+def _max_column_norm(X: np.ndarray) -> float:
+    """Largest Euclidean norm of a column of X; 0 when X has no columns."""
+    return float(np.linalg.norm(X, axis=0).max(initial=0.0))
+
+
 def kernel_correspondence(
     pair: FeshbachPair, data: FeshbachData, tol: Tolerances = DEFAULT_TOL
 ) -> KernelCorrespondence:
@@ -157,30 +162,20 @@ def kernel_correspondence(
     ker_F_basis = B @ coeffs.basis  # orthonormal: B has orthonormal columns
     dim_ker_F = ker_F_basis.shape[1]
 
-    chi_res = 0.0
-    roundtrip = 0.0
     P_F = ker_F_basis @ ker_F_basis.conj().T
     P_H = ker_H.projector()
-
-    for j in range(ker_H.dim):
-        v = ker_H.basis[:, j]
-        cv = chi @ v
-        chi_res = max(chi_res, float(np.linalg.norm(cv - P_F @ cv)))
-        roundtrip = max(roundtrip, float(np.linalg.norm(Q @ cv - v)))
-
-    q_res = 0.0
-    for j in range(dim_ker_F):
-        w = ker_F_basis[:, j]
-        qw = Q @ w
-        q_res = max(q_res, float(np.linalg.norm(qw - P_H @ qw)))
-        roundtrip = max(roundtrip, float(np.linalg.norm(chi @ qw - w)))
+    ker_H_basis = ker_H.basis
+    chi_V = chi @ ker_H_basis
+    Q_W = Q @ ker_F_basis
 
     return KernelCorrespondence(
         dim_ker_H=ker_H.dim,
         dim_ker_F=dim_ker_F,
-        chi_maps_residual=chi_res,
-        q_maps_residual=q_res,
-        roundtrip_residual=roundtrip,
+        chi_maps_residual=_max_column_norm(chi_V - P_F @ chi_V),
+        q_maps_residual=_max_column_norm(Q_W - P_H @ Q_W),
+        roundtrip_residual=max(
+            _max_column_norm(Q @ chi_V - ker_H_basis), _max_column_norm(chi @ Q_W - ker_F_basis)
+        ),
         threshold=_KERNEL_THRESHOLD,
     )
 
@@ -239,8 +234,9 @@ class _ShiftedScan:
     commutation residuals and both leaks off ran(chibar) unchanged; only the
     k x k compressions of T and H_chibar to ran(chibar) move.  Everything
     else is computed here, once, by the _shift_invariants that build_pair
-    uses.  A validated partition has chi and chibar nonzero, so both ranges
-    have dimension at least 1.
+    uses.  That raises BlockInvertibilityError when ran(chibar) is
+    numerically empty, which is exactly when ran(chi) is, so both ranges
+    here have dimension at least 1.
     """
 
     def __init__(self, H, T, partition: Partition, tol: Tolerances):

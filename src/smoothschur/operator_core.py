@@ -24,6 +24,12 @@ from .errors import (
 #: Absolute residual floor used when every operator norm involved vanishes.
 ABS_FLOOR = 1e-12
 
+#: A basis is orthonormal when ||B^H B - 1|| is at most this.
+_ORTHONORMAL_TOL = 1e-8
+
+#: _fix_gauge pivots on the first entry above this fraction of the largest.
+_GAUGE_REL = 1e-12
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -31,15 +37,13 @@ class Tolerances:
 
     rank_rel     relative singular-value cutoff for rank decisions
     residual_rel relative residual acceptance for identity checks
-    neumann_tol  truncation threshold for geometric series terms
     """
 
     rank_rel: float = 1e-10
     residual_rel: float = 1e-9
-    neumann_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_rel", "residual_rel", "neumann_tol"):
+        for name in ("rank_rel", "residual_rel"):
             value = getattr(self, name)
             if not (value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value}")
@@ -100,7 +104,7 @@ class Subspace:
         k = B.shape[1]
         if k:
             gram = B.conj().T @ B
-            if op_norm(gram - np.eye(k)) > 1e-8:
+            if op_norm(gram - np.eye(k)) > _ORTHONORMAL_TOL:
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -136,7 +140,7 @@ def _fix_gauge(cols: np.ndarray) -> np.ndarray:
         top = mags.max()
         if top == 0.0:
             continue
-        idx = int(np.argmax(mags > 1e-12 * top))
+        idx = int(np.argmax(mags > _GAUGE_REL * top))
         pivot = col[idx]
         if pivot != 0:
             cols[:, j] = col * (abs(pivot) / pivot)
@@ -184,7 +188,7 @@ def column_space(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(rows, _fix_gauge(u[:, :rank]))
 
 
-def restricted_map(A, V: Subspace, tol: Tolerances = DEFAULT_TOL):
+def restricted_map(A, V: Subspace):
     """Coordinate representation of A on the subspace V.
 
     Returns (coords, leak): coords = B^H A B with B the basis of V, and
@@ -230,6 +234,6 @@ def restricted_inverse(A, V: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     numerically invertible (see _gate_block).  The result G satisfies
     G A v = A G v = v for v in V and G w = 0 for w orthogonal to V.
     """
-    coords, leak = restricted_map(A, V, tol)
+    coords, leak = restricted_map(A, V)
     _gate_block(coords, leak, op_norm(A), tol)
     return V.zero_extended_inverse(coords)

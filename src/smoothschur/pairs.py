@@ -47,6 +47,9 @@ from .operator_core import (
 from .partition import Partition
 from .report import ResidualReport
 
+#: neumann_inverse stops once a series term's norm is at or below this.
+NEUMANN_TOL = 1e-12
+
 
 class _ShiftInvariants(NamedTuple):
     """The part of a pair that a common shift of H and T leaves unchanged,
@@ -65,7 +68,12 @@ class _ShiftInvariants(NamedTuple):
 
 def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
     """W, H_chi, H_chibar, ran(chibar), the commutation residuals with their
-    factor norms, and the compressions of T and H_chibar to ran(chibar)."""
+    factor norms, and the compressions of T and H_chibar to ran(chibar).
+
+    Raises BlockInvertibilityError when ran(chibar) is numerically empty.
+    The rank cutoff of a nonzero operator M is rank_rel ||M|| n, so that
+    happens exactly when rank_rel n >= 1, and then ran(chi) is empty too.
+    """
     n = partition.dim
     if H.shape != (n, n) or T.shape != (n, n):
         raise DimensionMismatchError(f"H {H.shape} / T {T.shape} incompatible with partition dim {n}")
@@ -74,9 +82,15 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
     H_chibar = T + chibar @ W @ chibar
     ran_chibar = column_space(chibar, tol)
     commutation = tuple((op_norm(c @ T - T @ c), op_norm(c)) for c in (chi, chibar))
+    if not ran_chibar.dim:
+        nchibar = commutation[1][1]
+        cutoff = tol.rank_rel * nchibar * n
+        raise BlockInvertibilityError(
+            f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
+        )
     return _ShiftInvariants(
         W, T + chi @ W @ chi, H_chibar, ran_chibar, commutation,
-        *restricted_map(T, ran_chibar, tol), *restricted_map(H_chibar, ran_chibar, tol),
+        *restricted_map(T, ran_chibar), *restricted_map(H_chibar, ran_chibar),
     )
 
 
@@ -217,15 +231,13 @@ class NeumannResult:
     truncated: bool
 
 
-def neumann_inverse(
-    pair: FeshbachPair, max_terms: int = 200, tol: Tolerances = DEFAULT_TOL
-) -> NeumannResult:
+def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
     """Invert H_chibar on ran(chibar) by the geometric series.
 
     Uses the factorization H_chibar = (1 + chibar W T^{-1} chibar) T on
     ran(chibar):  the approximate inverse is
     T^{-1} * sum_n (-chibar W T^{-1} chibar)^n, truncated once the term norm
-    falls below neumann_tol or after max_terms terms (then flagged truncated).
+    falls to NEUMANN_TOL or after max_terms terms (then flagged truncated).
     Raises ContractionError when the coupling norm is >= 1.
     """
     chibar, W = pair.chibar, pair.W
@@ -237,7 +249,7 @@ def neumann_inverse(
 
     total = term = np.eye(pair.dim, dtype=complex)
     terms_used, truncated = 1, False
-    while op_norm(term := -M @ term) > tol.neumann_tol:
+    while op_norm(term := -M @ term) > NEUMANN_TOL:
         if terms_used >= max_terms:
             truncated = True
             break

@@ -21,7 +21,7 @@ from .errors import (
     NotIdempotentError,
     PartitionError,
 )
-from .operator_core import DEFAULT_TOL, Tolerances, as_matrix, op_norm, rel_threshold
+from .operator_core import ABS_FLOOR, DEFAULT_TOL, Tolerances, as_matrix, op_norm, rel_threshold
 from .report import ResidualReport
 
 #: Operators with norm below this count as zero (partitions must be nonzero).
@@ -104,7 +104,7 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
     evidence.add("partition/commutation", comm, comm_thr)
 
     unity = op_norm(chi @ chi + chibar @ chibar - np.eye(n))
-    unity_thr = max(tol.residual_rel * (1.0 + nchi**2 + nchibar**2), 1e-12)
+    unity_thr = max(tol.residual_rel * (1.0 + nchi**2 + nchibar**2), ABS_FLOOR)
     evidence.add("partition/unity", unity, unity_thr)
 
     if not evidence.passed:

@@ -29,6 +29,7 @@ from smoothschur import (
 from smoothschur.cli import main
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
 from smoothschur.operator_core import DEFAULT_TOL
+from smoothschur.pairs import NEUMANN_TOL
 
 from conftest import crandn
 
@@ -229,7 +230,7 @@ def test_criterion_5_neumann_series():
         worst = max(worst, rel)
         if rel > 1e-10:
             _report(5, False, f"trial {i}: series disagrees with direct inverse: {rel:.3e}")
-        bound = int(np.ceil(np.log(DEFAULT_TOL.neumann_tol) / np.log(q))) + 1
+        bound = int(np.ceil(np.log(NEUMANN_TOL) / np.log(q))) + 1
         if res.terms_used > bound + 1:
             _report(5, False, f"trial {i}: terms {res.terms_used} > geometric bound {bound} + 1")
         done += 1

@@ -141,5 +141,20 @@ class TestFuzz:
         payload = json.loads(path.read_text())
         assert payload["failures"] == 0
 
+    def test_max_residuals_cover_check_labels(self, instance_dir, tmp_path):
+        check_json, fuzz_json = tmp_path / "c.json", tmp_path / "f.json"
+        assert main(["check", str(instance_dir), "--json", str(check_json)]) == 0
+        assert main(["fuzz", "--trials", "3", "--seed", "1", "--json", str(fuzz_json)]) == 0
+        reports = json.loads(check_json.read_text())["reports"]
+        labels = {entry["label"] for entries in reports.values() for entry in entries}
+        assert labels <= set(json.loads(fuzz_json.read_text())["max_residuals"])
+
+    def test_failures_counted(self, tmp_path):
+        # no identity residual is within 1e-30, so every trial fails check
+        path = tmp_path / "f.json"
+        assert main(["fuzz", "--trials", "2", "--seed", "1", "--res-tol", "1e-30", "--json", str(path)]) == 1
+        payload = json.loads(path.read_text())
+        assert payload["failures"] >= 2 and payload["summary"]["pass"] is False
+
     def test_bad_kind_exits_2(self):
         assert main(["fuzz", "--trials", "1", "--kinds", "bogus"]) == 2

@@ -4,7 +4,9 @@ import pytest
 from smoothschur import (
     build_pair,
     feshbach_map,
+    kernel_correspondence,
     make_sharp,
+    sufficient_conditions,
     validate_partition,
     verify_alt_remark,
     verify_basics,
@@ -88,6 +90,32 @@ def test_scaling_invariance():
         for entry in rep:
             assert entry.passed
             assert abs(entry.residual - base_residuals[entry.label]) <= 1e-12
+
+
+def _verdicts(H, T, partition):
+    """Every verdict of the check pipeline on (H, T)."""
+    pair = build_pair(H, T, partition)
+    data = feshbach_map(pair)
+    reports = (
+        pair.evidence,
+        sufficient_conditions(pair),
+        verify_basics(pair, data),
+        verify_resolvent(pair),
+        verify_alt_remark(pair, data),
+    )
+    kc = kernel_correspondence(pair, data)
+    return [(e.label, e.passed) for r in reports for e in r] + [(kc.dim_ker_H, kc.dim_ker_F, kc.passed)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
+def test_verdicts_independent_of_operator_scale(kind, n, scale):
+    spec = InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=derived_seed(59, n))
+    inst = generate(spec)
+    base = _verdicts(inst.H, inst.T, inst.partition)
+    for s in (1e-8, 1e8):
+        assert _verdicts(s * inst.H, s * inst.T, inst.partition) == base
 
 
 def test_adjoint_symmetry():

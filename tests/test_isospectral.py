@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from smoothschur import (
+    BlockInvertibilityError,
+    FeshbachData,
     DimensionMismatchError,
     EffectiveOperatorSingularError,
     EmptyGridError,
@@ -9,6 +11,7 @@ from smoothschur import (
     ReductionStageError,
     SmoothSchurError,
     Subspace,
+    Tolerances,
     admissible_subspace_check,
     build_pair,
     column_space,
@@ -17,6 +20,7 @@ from smoothschur import (
     invert_F_via_H,
     invert_H_via_F,
     iterated_reduction,
+    kernel_basis,
     kernel_correspondence,
     make_sharp,
     numerical_rank,
@@ -168,6 +172,43 @@ class TestKernelCorrespondence:
             assert kc.roundtrip_residual <= 1e-8
             assert kc.passed
 
+    def test_residuals_match_per_vector_loop(self):
+        # a perturbed Q makes the Q-map and roundtrip residuals O(0.1), a
+        # scale at which a wrong axis or a dropped term shows
+        rng = np.random.default_rng(79)
+        for i in range(6):
+            spec = InstanceSpec(dim=6 + i, partition_kind=KINDS[i % 3], perturbation_scale=0.2,
+                                seed=derived_seed(79, i))
+            inst = generate_singular(spec, 1 + i % 2)
+            pair = build_pair(inst.H, inst.T, inst.partition)
+            data = feshbach_map(pair)
+            E = crandn(rng, spec.dim)
+            data = FeshbachData(F=data.F, Q=data.Q + 0.1 * E / op_norm(E), Q_sharp=data.Q_sharp)
+            kc = kernel_correspondence(pair, data)
+            got = (kc.chi_maps_residual, kc.q_maps_residual, kc.roundtrip_residual)
+            want = _kernel_residuals_by_vector(pair, data)
+            assert min(want[1:]) > 1e-3
+            assert got == pytest.approx(want, rel=1e-12, abs=64 * np.finfo(float).eps)
+
+
+def _kernel_residuals_by_vector(pair, data):
+    """kernel_correspondence's three residuals, one basis vector at a time."""
+    chi, Q = pair.chi, data.Q
+    ker_H = kernel_basis(pair.H)
+    B = column_space(chi).basis
+    ker_F = B @ kernel_basis(data.F @ B).basis
+    P_F, P_H = ker_F @ ker_F.conj().T, ker_H.projector()
+    chi_res = q_res = roundtrip = 0.0
+    for v in ker_H.basis.T:
+        cv = chi @ v
+        chi_res = max(chi_res, np.linalg.norm(cv - P_F @ cv))
+        roundtrip = max(roundtrip, np.linalg.norm(Q @ cv - v))
+    for w in ker_F.T:
+        qw = Q @ w
+        q_res = max(q_res, np.linalg.norm(qw - P_H @ qw))
+        roundtrip = max(roundtrip, np.linalg.norm(chi @ qw - w))
+    return chi_res, q_res, roundtrip
+
 
 def _reference_point(H, T, partition, lam):
     """(sigma_min of F compressed to ran chi, pair valid, ||F||, block margin)
@@ -243,6 +284,11 @@ class TestSpectralScan:
         inst = worked_2x2()
         with pytest.raises(DimensionMismatchError):
             spectral_scan(np.eye(3), np.eye(3), inst.partition, [0.5])
+
+    def test_empty_ran_chibar(self):
+        inst = worked_2x2()
+        with pytest.raises(BlockInvertibilityError, match="numerically empty"):
+            spectral_scan(inst.H, inst.T, inst.partition, [0.0, 1.0], Tolerances(rank_rel=10))
 
     def test_scale_invariance(self):
         inst = worked_2x2()

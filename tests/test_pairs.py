@@ -6,6 +6,7 @@ from smoothschur import (
     CommutationError,
     ContractionError,
     FeshbachData,
+    Tolerances,
     build_pair,
     column_space,
     feshbach_map,
@@ -70,6 +71,12 @@ class TestBuildPair:
         T = np.diag([1.0, 0.0]).astype(complex)  # vanishes on ran(chibar)
         with pytest.raises(BlockInvertibilityError):
             build_pair(T + 0.0, T, part)
+
+    def test_empty_ran_chibar(self):
+        # rank_rel * n >= 1 puts every singular value of chibar at or below the cutoff
+        inst = worked_2x2()
+        with pytest.raises(BlockInvertibilityError, match="numerically empty"):
+            build_pair(inst.H, inst.T, inst.partition, Tolerances(rank_rel=10))
 
     def test_noncommuting_T_rejected(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
