@@ -153,9 +153,8 @@ def cmd_scan(args) -> int:
 
     flagged = result.flagged_eigenvalues
     reference = result.reference_eigenvalues
-    matched = sum(
-        1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= 10 * _grid_resolution(grid)
-    )
+    reach = 10 * _grid_resolution(grid)
+    matched = sum(1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= reach)
     print(f"flagged {len(flagged)} candidate(s); reference eigenvalues matched: {matched}/{len(reference)}")
     if args.json:
         payload = result.to_dict()

@@ -9,6 +9,7 @@ between ker H and ker F restricted to ran(chi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,11 +202,13 @@ class ScanResult:
 
 
 def _grid_resolution(grid) -> float:
-    if len(grid) < 2:
-        return 1.0
-    gaps = [abs(grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
-    gaps = [g for g in gaps if g > 0]
-    return min(gaps) if gaps else 1.0
+    """Smallest nonzero distance between consecutive grid points; 1.0 when
+    there is none.  hypot rounds as Python's abs of a complex does, which
+    np.abs of a complex array does not always."""
+    steps = np.diff(np.asarray(grid, dtype=complex))
+    gaps = np.hypot(steps.real, steps.imag)
+    gaps = gaps[gaps > 0]
+    return float(gaps.min()) if gaps.size else 1.0
 
 
 #: Bytes allowed per stacked array in a spectral scan's batched solves.
@@ -218,6 +221,68 @@ _FLAG_SCALE = 10.0
 #: above the rounding of either norm, so a verdict taken from the bracket is
 #: the one the exact norm would give.
 _BRACKET_SLACK = 1e-10
+
+
+#: Relative slack of the eigenvector certificate: a shifted chibar block
+#: skips its SVD only when its lower bound, less this fraction, exceeds every
+#: term against it plus this fraction.  It also caps cond(V), so that the
+#: computed condition number is itself accurate within the slack.
+_CERT_SLACK = 1e-3
+
+#: Rounding in forming M V - V diag(w), the shifted block and its SVD is
+#: taken as at most this many k eps times the norms of the factors.
+_CERT_ROUNDING = 8
+
+
+class _EigenCertificate(NamedTuple):
+    """A lower bound on sigma_min(M - lam G) at every lam, from one
+    eigendecomposition M V = V diag(w) + R of a k x k block M, G the Gram
+    matrix of the basis of ran(chibar):
+
+        M - lam G = V (diag(w) - lam) V^-1 + R V^-1 - lam (G - 1),
+
+    so sigma_min(M - lam G) >= min_i |w_i - lam| / kappa - e - |lam| g with
+    kappa = cond(V), e >= ||R V^-1|| and g >= ||G - 1|| (the Bauer-Fike
+    argument; Trefethen & Embree, Spectra and Pseudospectra, 2005).  e and g
+    include the rounding of R, of forming M - lam G and of its SVD, so a
+    block whose bound clears the rank cutoff is one the SVD passes as well.
+    """
+
+    w: np.ndarray
+    kappa: float
+    e: float
+    g: float
+
+    def clears(self, lams: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        """Whether sigma_min(M - lam G) certainly exceeds each cutoff."""
+        gap = np.abs(self.w[None, :] - lams[:, None]).min(axis=1)
+        lower = (1.0 - _CERT_SLACK) * gap / self.kappa
+        return lower > (1.0 + _CERT_SLACK) * (self.e + np.abs(lams) * self.g + cutoffs)
+
+
+def _eigen_certificate(M: np.ndarray, G: np.ndarray) -> _EigenCertificate | None:
+    """The _EigenCertificate of the block M, or None when eig fails, the
+    eigenvectors V are non-finite or singular, or cond(V) exceeds
+    _CERT_SLACK / rho for rounding unit rho = _CERT_ROUNDING k eps.
+
+    e = (||R||_F + rho ||M||_F ||V||_F) / sigma_min(V) bounds ||R V^-1||
+    without forming V^-1, and g = ||G - 1||_F + rho ||G||_F.
+    """
+    k = M.shape[0]
+    rho = _CERT_ROUNDING * k * np.finfo(float).eps
+    try:
+        w, V = np.linalg.eig(M)
+        if not np.isfinite(V).all():
+            return None
+        s = np.linalg.svd(V, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return None
+    if rho * s[0] > _CERT_SLACK * s[-1]:
+        return None
+    R = M @ V - V * w
+    e = (np.linalg.norm(R) + rho * np.linalg.norm(M) * np.linalg.norm(V)) / s[-1]
+    g = np.linalg.norm(G - np.eye(k)) + rho * np.linalg.norm(G)
+    return _EigenCertificate(w, s[0] / s[-1], e, g)
 
 
 def _off_diagonal_sq(A: np.ndarray) -> float:
@@ -237,6 +302,13 @@ class _ShiftedScan:
     uses.  That raises BlockInvertibilityError when ran(chibar) is
     numerically empty, which is exactly when ran(chi) is, so both ranges
     here have dimension at least 1.
+
+    Each k x k block M also gets one _EigenCertificate, from eig(M): a lower
+    bound on sigma_min(M - lam B*B) that costs O(k) per shift.  Where it
+    clears the rank cutoff the SVD would pass the block too, so the rank test
+    skips the SVD there; near an eigenvalue of M, for non-finite blocks, and
+    at every shift when eig fails or its eigenvectors are singular or too
+    ill-conditioned, the SVD decides as before.
     """
 
     def __init__(self, H, T, partition: Partition, tol: Tolerances):
@@ -254,6 +326,7 @@ class _ShiftedScan:
         ]
         self.blocks = (fixed.T_block, fixed.K)
         self.gram_B = Bh @ B
+        self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
         self.F0 = Ch @ fixed.H_chi @ C
         self.gram_C = Ch @ C
         self.left = Ch @ chi @ W @ chibar @ B
@@ -269,12 +342,12 @@ class _ShiftedScan:
         idx = np.flatnonzero(np.isfinite(lams))
         for gate in self.gates:
             idx = idx[self._within_thresholds(*gate, lams[idx])]
-        shift = lams[idx][:, None, None]
-        for block in self.blocks:
-            shifted = block - shift * self.gram_B
-            keep = self._nonsingular(shifted)
-            idx, shift, shifted = idx[keep], shift[keep], shifted[keep]
+        for block, certificate in zip(self.blocks, self.certificates):
+            shifted = block - lams[idx, None, None] * self.gram_B
+            keep = self._nonsingular(shifted, certificate, lams[idx])
+            idx, shifted = idx[keep], shifted[keep]
         # shifted is K - lam, the last block, at the points still valid
+        shift = lams[idx, None, None]
         right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
         Fc = self.F0 - shift * self.gram_C - self.left @ np.linalg.solve(shifted, right)
         finite = np.isfinite(Fc).all(axis=(1, 2))
@@ -303,12 +376,21 @@ class _ShiftedScan:
             ok[i] = all(residual <= rel_threshold(tol, factor, norm) for residual, factor in checks)
         return ok
 
-    def _nonsingular(self, blocks: np.ndarray) -> np.ndarray:
-        """Whether each stacked k x k block passes the rank cutoff that
-        _gate_block applies; non-finite blocks fail."""
+    def _nonsingular(self, blocks: np.ndarray, certificate, lams) -> np.ndarray:
+        """Whether each stacked k x k block M - lam B*B passes the rank cutoff
+        that _gate_block applies; non-finite blocks fail.
+
+        The cutoff is at most _rank_cutoff of ||M - lam B*B||_F.  A block the
+        certificate clears against that passes; the SVD decides the rest.
+        """
+        shape = blocks.shape[-2:]
         ok = np.isfinite(blocks).all(axis=(1, 2))
-        s = np.linalg.svd(blocks[ok], compute_uv=False)
-        ok[ok] = s[:, -1] > _rank_cutoff(s, blocks.shape[-2:], self.tol)
+        undecided = ok.copy()
+        if certificate is not None:
+            norms = np.linalg.norm(blocks, axis=(1, 2))
+            undecided &= ~certificate.clears(lams, _rank_cutoff(norms[:, None], shape, self.tol))
+        s = np.linalg.svd(blocks[undecided], compute_uv=False)
+        ok[undecided] = s[:, -1] > _rank_cutoff(s, shape, self.tol)
         return ok
 
 
@@ -331,6 +413,17 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
     Non-finite shifts are gaps as well.  Each threshold is first decided
     from the Frobenius bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F; the
     exact spectral norm is computed only when a residual falls inside it.
+    Each rank test is first decided from one eigendecomposition of the block
+    per scan (M = K or B*TB, V its eigenvectors, w its eigenvalues):
+
+        sigma_min(M - lambda B*B) >= min_i |w_i - lambda| / cond(V) - e - |lambda| g,
+
+    e bounding ||M - V diag(w) V^-1|| and g ||B*B - 1||, both with their
+    rounding.  A block whose bound exceeds rank_rel k ||M - lambda B*B||_F,
+    an upper bound on its cutoff, with relative slack _CERT_SLACK, is one
+    the SVD passes, so only the blocks the bound leaves open (near an
+    eigenvalue of M, or all of them when V is singular or too
+    ill-conditioned) reach the SVD, and every verdict is the SVD's.
     The grid runs in chunks sized from n, k and m so that each stacked
     array stays within about 256 KB however long the grid (one point per
     chunk once a single k x k block is larger).
@@ -355,7 +448,7 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
     svs = svs.tolist()
     valid = valid.tolist()
 
-    resolution = _grid_resolution(grid)
+    resolution = _grid_resolution(lams)
     cut = _FLAG_SCALE * resolution * (1.0 + op_norm(H))
     flagged = []
     for i, lam in enumerate(grid):

@@ -32,6 +32,7 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
+from smoothschur.isospectral import _grid_resolution
 
 from conftest import crandn
 
@@ -210,6 +211,13 @@ def _kernel_residuals_by_vector(pair, data):
     return chi_res, q_res, roundtrip
 
 
+def _grid_resolution_by_loop(grid):
+    """_grid_resolution one consecutive pair at a time."""
+    gaps = [abs(grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
+    gaps = [g for g in gaps if g > 0]
+    return min(gaps) if gaps else 1.0
+
+
 def _reference_point(H, T, partition, lam):
     """(sigma_min of F compressed to ran chi, pair valid, ||F||, block margin)
     at one shift, through the per-point path: build_pair, feshbach_map,
@@ -232,17 +240,50 @@ def _reference_point(H, T, partition, lam):
     return smallest_sv(coords), True, op_norm(data.F), margin
 
 
-def _near_cutoff_shifts(H, T, partition, factors=(0.01, 0.3, 3.0, 30.0, 300.0)):
-    """Shifts a few rank cutoffs away from an eigenvalue of each chibar block."""
+def _chibar_blocks(H, T, partition):
+    """The compressions of T and H_chibar to ran(chibar)."""
     B = column_space(partition.chibar).basis
     H_chibar = T + partition.chibar @ (H - T) @ partition.chibar
+    return [B.conj().T @ A @ B for A in (T, H_chibar)]
+
+
+def _near_cutoff_shifts(H, T, partition, factors=(0.01, 0.3, 3.0, 30.0, 300.0)):
+    """Shifts a few rank cutoffs away from an eigenvalue of each chibar block."""
     shifts = []
-    for A in (T, H_chibar):
-        block = B.conj().T @ A @ B
+    for block in _chibar_blocks(H, T, partition):
         mu = np.linalg.eigvals(block)[0]
         cutoff = 1e-10 * op_norm(block) * block.shape[0]
         shifts += [mu + c * cutoff for c in factors]
     return shifts
+
+
+def _reference_instance(kind, dim):
+    """(H, T, partition, grid): a generated pair and a grid across its
+    spectrum, near three eigenvalues of H and near each chibar block's
+    rank cutoff."""
+    inst = generate(InstanceSpec(dim=dim, partition_kind=kind, perturbation_scale=0.3,
+                                 seed=derived_seed(97, dim)))
+    H, T, partition = inst.H, inst.T, inst.partition
+    ev = np.linalg.eigvals(H)
+    grid = list(np.linspace(ev.real.min() - 0.1, ev.real.max() + 0.1, 12) + 0.05j)
+    grid += list(ev[:3] + 1e-3) + _near_cutoff_shifts(H, T, partition)
+    return H, T, partition, grid
+
+
+@pytest.fixture
+def stacked_svds(monkeypatch):
+    """A one-item list counting the matrices passed to np.linalg.svd in
+    stacks; only spectral_scan batches its SVDs over grid points."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            count[0] += len(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return count
 
 
 class TestSpectralScan:
@@ -264,6 +305,13 @@ class TestSpectralScan:
         assert eigs == pytest.approx([(5 - np.sqrt(5)) / 2, (5 + np.sqrt(5)) / 2])
         for e in eigs:
             assert min(abs(z - e) for z in result.flagged_eigenvalues) <= 0.01
+
+    def test_grid_resolution_matches_loop(self):
+        rng = np.random.default_rng(101)
+        grids = [[], [1.0], [2.0, 2.0], [0.0, 1e-3, 1e-3, 3.0], list(np.arange(0.0, 5.0, 0.01))]
+        grids += [list(crandn(rng, 1, 1 + i % 7)[0]) for i in range(40)]
+        for grid in grids:
+            assert _grid_resolution(grid) == _grid_resolution_by_loop(grid), grid
 
     def test_empty_grid(self):
         inst = worked_2x2()
@@ -290,7 +338,7 @@ class TestSpectralScan:
         with pytest.raises(BlockInvertibilityError, match="numerically empty"):
             spectral_scan(inst.H, inst.T, inst.partition, [0.0, 1.0], Tolerances(rank_rel=10))
 
-    def test_scale_invariance(self):
+    def test_scale_invariance(self, stacked_svds):
         inst = worked_2x2()
         grid = np.arange(0.0, 5.0, 0.01)
         base = spectral_scan(inst.H, inst.T, inst.partition, grid)
@@ -300,6 +348,20 @@ class TestSpectralScan:
             assert scaled.pair_valid == base.pair_valid
             flags = [z / s for z in scaled.flagged_eigenvalues]
             assert flags == pytest.approx(base.flagged_eigenvalues, rel=1e-12)
+        # k = 8 chibar blocks, where the certificate's e and g are nonzero:
+        # it must leave the same points to the SVD at every scale
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
+        mus = [np.linalg.eigvals(block)[0] for block in _chibar_blocks(H, T, partition)]
+        grid = np.array(grid[:15] + [mu + d for mu in mus for d in (1e-9, 1e-6, 1e-3)])
+        stacked_svds[0] = 0
+        base = spectral_scan(H, T, partition, grid)
+        base_svds = stacked_svds[0]
+        assert sum(base.pair_valid) < base_svds < len(grid) + sum(base.pair_valid)
+        for s in (1e-8, 1e8):
+            stacked_svds[0] = 0
+            scaled = spectral_scan(s * H, s * T, partition, s * grid)
+            assert stacked_svds[0] == base_svds
+            assert scaled.pair_valid == base.pair_valid
 
     def test_worked_2x2_matches_per_point_reference(self):
         inst = worked_2x2()
@@ -311,17 +373,55 @@ class TestSpectralScan:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_per_point_reference(self, kind, dim):
-        inst = generate(InstanceSpec(dim=dim, partition_kind=kind, perturbation_scale=0.3,
-                                     seed=derived_seed(97, dim)))
-        H, T, partition = inst.H, inst.T, inst.partition
-        ev = np.linalg.eigvals(H)
-        grid = list(np.linspace(ev.real.min() - 0.1, ev.real.max() + 0.1, 12) + 0.05j)
-        grid += list(ev[:3] + 1e-3) + _near_cutoff_shifts(H, T, partition)
+        H, T, partition, grid = _reference_instance(kind, dim)
         result = spectral_scan(H, T, partition, grid)
         margins = self._assert_matches_reference(H, T, partition, grid, result)
         # the near-cutoff shifts reach the verdict boundary and cross it
         assert any(0.1 <= m <= 10 for m in margins)
         assert any(m < 0.1 for m in margins)
+
+    def test_certificate_spares_block_svds(self, stacked_svds):
+        # away from every chibar-block eigenvalue the eigenvector certificate
+        # decides both rank-cutoff tests, so F_c is the only SVD per point
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 64)
+        eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
+        far = [z for z in grid if np.abs(eigs - z).min() >= 1e-3]
+        assert len(far) >= 12
+        stacked_svds[0] = 0
+        result = spectral_scan(H, T, partition, far)
+        assert all(result.pair_valid)
+        assert stacked_svds[0] == len(far)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [np.zeros(8), 0.25 - 0.25 * np.arange(8)],
+        ids=["defective", "cond-5e9"],
+    )
+    def test_non_normal_chibar_block(self, diagonal):
+        # T's chibar block is 10 N + diag(diagonal), N the nilpotent upper
+        # shift, and H = T.  With diagonal 0 every eigenvalue is 0, yet
+        # sigma_min(10 N - lam), about lam^8 / 1e7, is below the rank cutoff
+        # at lam = 0.5 and 0.3; eig returns singular eigenvectors, so inv(V)
+        # would raise LinAlgError.  With diagonal 0.25 - 0.25 i, cond(V) is
+        # about 5e9 and lam = 0.3, 0.05 from the spectrum, still fails the
+        # cutoff: a bound without cond(V) would pass it.
+        n = 9
+        chi = np.zeros((n, n))
+        chi[0, 0] = 1.0
+        partition = make_sharp(chi)
+        T = np.zeros((n, n), dtype=complex)
+        T[0, 0] = 1.0
+        T[1:, 1:] = 10.0 * np.eye(n - 1, k=1) + np.diag(diagonal)
+        grid = [0.5, 0.3, 2.0, 5.0, 20.0]
+        result = spectral_scan(T, T, partition, grid)
+        assert result.pair_valid[1] is False
+        for lam, sv, ok in zip(grid, result.f_smallest_sv, result.pair_valid):
+            ref_sv, ref_ok, f_norm, _ = _reference_point(T, T, partition, lam)
+            assert ok == ref_ok, lam
+            if ok:
+                assert abs(sv - ref_sv) <= 1e-12 * (1 + f_norm)
+        if not diagonal.any():
+            assert result.pair_valid == [False, False, True, True, True]
 
     @pytest.mark.parametrize(
         "chi, chibar, T, grid",
