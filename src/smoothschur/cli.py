@@ -172,6 +172,8 @@ def cmd_reduce(args) -> int:
     # diagonal T commutes with every coordinate projection, at every stage
     T = np.diag(np.diagonal(H)).astype(complex)
     partitions = halving_partitions(n, args.stages, tol)
+    if not partitions:
+        raise InstanceSpecError(f"reduce needs --stages >= 1 and dim >= 2, got --stages {args.stages} on dim {n}")
     stages = iterated_reduction(H, T, partitions, tol)
 
     dims = [n] + [d for _, d in stages]
@@ -205,6 +207,8 @@ def cmd_fuzz(args) -> int:
         raise InstanceSpecError("trials must be >= 1")
     scales = (0.0, 0.1, 0.45)
     dims = list(range(args.dim_min, args.dim_max + 1))
+    if not dims:
+        raise InstanceSpecError(f"dim-min {args.dim_min} must be <= dim-max {args.dim_max}")
 
     worst: dict[str, float] = {}
     failures = 0

@@ -8,7 +8,7 @@ and redrawn (deterministically, from the same stream).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,12 +57,7 @@ class InstanceSpec:
             raise InstanceSpecError("perturbation_scale must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "partition_kind": self.partition_kind,
-            "perturbation_scale": self.perturbation_scale,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

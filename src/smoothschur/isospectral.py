@@ -8,7 +8,7 @@ between ker H and ker F restricted to ran(chi).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,14 +29,13 @@ from .operator_core import (
     Tolerances,
     _rank_cutoff,
     as_matrix,
-    column_space,
     kernel_basis,
     op_norm,
     rel_threshold,
     restricted_inverse,
     restricted_map,
 )
-from .pairs import FeshbachData, FeshbachPair, _shift_invariants, build_pair, feshbach_map
+from .pairs import FeshbachData, FeshbachPair, _compressed_map, _shift_invariants, build_pair
 from .partition import Partition, make_sharp
 from .report import ResidualReport
 
@@ -98,7 +97,7 @@ def invert_F_via_H(
     H = pair.H
     s = np.linalg.svd(H, compute_uv=False)
     cutoff = _rank_cutoff(s, H.shape, tol)
-    if s.size == 0 or s[-1] <= cutoff:
+    if s[-1] <= cutoff:
         raise OperatorSingularError(
             f"H numerically singular: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
         )
@@ -126,15 +125,7 @@ class KernelCorrespondence:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dim_ker_H": self.dim_ker_H,
-            "dim_ker_F": self.dim_ker_F,
-            "chi_maps_residual": self.chi_maps_residual,
-            "q_maps_residual": self.q_maps_residual,
-            "roundtrip_residual": self.roundtrip_residual,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 #: Acceptance for the kernel correspondence residuals.
@@ -152,15 +143,15 @@ def kernel_correspondence(
     """Verify that chi maps ker H onto ker F (within ran chi) and Q maps it
     back, each residual within _KERNEL_THRESHOLD.
 
-    ker F is computed inside ran(chi): vectors v = B c with F B c = 0, B an
-    orthonormal basis of ran(chi).
+    ker F is computed inside ran(chi): vectors v = C c with F C c = 0, C the
+    orthonormal basis of pair.ran_chi.
     """
     chi, Q = pair.chi, data.Q
     ker_H = kernel_basis(pair.H, tol)
 
-    B = column_space(chi, tol).basis
-    coeffs = kernel_basis(data.F @ B, tol)
-    ker_F_basis = B @ coeffs.basis  # orthonormal: B has orthonormal columns
+    C = pair.ran_chi.basis
+    coeffs = kernel_basis(data.F @ C, tol)
+    ker_F_basis = C @ coeffs.basis  # orthonormal: C has orthonormal columns
     dim_ker_F = ker_F_basis.shape[1]
 
     P_F = ker_F_basis @ ker_F_basis.conj().T
@@ -297,11 +288,12 @@ class _ShiftedScan:
 
     Shifting H and T together leaves W, ran(chi), ran(chibar), both
     commutation residuals and both leaks off ran(chibar) unchanged; only the
-    k x k compressions of T and H_chibar to ran(chibar) move.  Everything
-    else is computed here, once, by the _shift_invariants that build_pair
-    uses.  That raises BlockInvertibilityError when ran(chibar) is
-    numerically empty, which is exactly when ran(chi) is, so both ranges
-    here have dimension at least 1.
+    k x k compressions of T and H_chibar to ran(chibar) move, and F0 by
+    -lam C*C.  Everything else is computed here, once, by the
+    _shift_invariants that build_pair uses, with the blocks of F compressed
+    to ran(chi) from _compressed_map.  That raises BlockInvertibilityError
+    when ran(chibar) is numerically empty, which is exactly when ran(chi)
+    is, so both ranges here have dimension at least 1.
 
     Each k x k block M also gets one _EigenCertificate, from eig(M): a lower
     bound on sigma_min(M - lam B*B) that costs O(k) per shift.  Where it
@@ -313,10 +305,7 @@ class _ShiftedScan:
 
     def __init__(self, H, T, partition: Partition, tol: Tolerances):
         fixed = _shift_invariants(H, T, partition, tol)
-        chi, chibar, W = partition.chi, partition.chibar, fixed.W
         B = fixed.ran_chibar.basis
-        C = column_space(chi, tol).basis
-        Bh, Ch = B.conj().T, C.conj().T
         # (operator A, its squared Frobenius norm off the diagonal, which a
         # shift leaves alone, [(residual, factor norm)]): each residual must
         # stay within rel_threshold(factor, ||A - lam||), as in build_pair
@@ -325,15 +314,12 @@ class _ShiftedScan:
             (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(fixed.K_leak, 1.0)]),
         ]
         self.blocks = (fixed.T_block, fixed.K)
-        self.gram_B = Bh @ B
+        self.gram_B = B.conj().T @ B
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
-        self.F0 = Ch @ fixed.H_chi @ C
-        self.gram_C = Ch @ C
-        self.left = Ch @ chi @ W @ chibar @ B
-        self.right = Bh @ chibar @ W @ chi @ C
+        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
         self.tol = tol
         self.n = partition.dim
-        k, m = B.shape[1], C.shape[1]
+        k, m = B.shape[1], fixed.ran_chi.dim
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
@@ -479,37 +465,32 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
 
 def iterated_reduction(H, T, partitions, tol: Tolerances = DEFAULT_TOL):
     """Iteratively compress the problem: at each stage, form the pair for the
-    stage partition, apply the map, and restrict F to ran(chi).
+    stage partition and take F compressed to ran(chi), F0 - L K^{-1} R from
+    the pair's blocks, without building the n x n F.
 
-    T is carried along by compression.  Each partition's ran(chi) must be a
-    proper subspace, so dimensions strictly decrease.  Returns a list of
-    (effective_operator, subspace_dim) per stage, innermost last.
+    T is carried along by compression, C*TC.  Each partition must match the
+    stage's dimension, and its ran(chi) must be a proper subspace, so
+    dimensions strictly decrease.  Returns a list of (effective_operator,
+    subspace_dim) per stage, innermost last.
     """
     H_k = as_matrix(H)
     T_k = as_matrix(T)
     stages = []
     for k, partition in enumerate(partitions):
-        if partition.dim != H_k.shape[0]:
-            raise ReductionStageError(
-                k,
-                SmoothSchurError(
-                    f"partition dim {partition.dim} != operator dim {H_k.shape[0]}"
-                ),
-            )
-        V = column_space(partition.chi, tol)
-        if V.dim >= H_k.shape[0] or V.dim == 0:
-            raise ReductionStageError(
-                k, SmoothSchurError(f"ran(chi) dim {V.dim} is not a proper subspace")
-            )
         try:
             pair = build_pair(H_k, T_k, partition, tol)
         except SmoothSchurError as exc:
             raise ReductionStageError(k, exc) from exc
-        data = feshbach_map(pair)
-        B = V.basis
-        H_k = B.conj().T @ data.F @ B
-        T_k = B.conj().T @ pair.T @ B
-        stages.append((H_k, V.dim))
+        m = pair.ran_chi.dim
+        if m >= pair.dim or m == 0:
+            raise ReductionStageError(
+                k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
+            )
+        F0, L, R, _ = _compressed_map(pair, partition)
+        C = pair.ran_chi.basis
+        H_k = F0 - L @ np.linalg.solve(pair.K, R)
+        T_k = C.conj().T @ pair.T @ C
+        stages.append((H_k, m))
     return stages
 
 

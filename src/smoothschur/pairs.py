@@ -4,7 +4,7 @@ A pair (H, T) for a partition (chi, chibar) must satisfy:
   (a) T commutes with chi and chibar,
   (b) T and H_chibar = T + chibar*W*chibar are invertible on ran(chibar),
   (c) chibar * H_chibar^{-1} * chibar * W * chi is bounded (automatic in
-      finite dimension; its norm is recorded).
+      finite dimension, so no evidence is recorded for it).
 
 Given a valid pair, the map and its auxiliary operators are
 
@@ -15,7 +15,9 @@ Given a valid pair, the map and its auxiliary operators are
 with H_chi = T + chi*W*chi.  The pair keeps T and H_chibar on ran(chibar) as
 k x k blocks in the coordinates of its orthonormal basis B, and the map
 solves against the block K = B*H_chibar B; the zero-extended n x n inverses
-are built only when read.
+are built only when read.  The pair also keeps ran(chi), and _compressed_map
+gives the blocks of F compressed to it, which the spectral scan and the
+iterated reduction read.
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ class _ShiftInvariants(NamedTuple):
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
+    ran_chi: Subspace
     commutation: tuple  # (||c T - T c||, ||c||) for c = chi, chibar
     T_block: np.ndarray  # B*TB
     T_leak: float  # ||(1 - BB*) T B||
@@ -67,8 +70,9 @@ class _ShiftInvariants(NamedTuple):
 
 
 def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
-    """W, H_chi, H_chibar, ran(chibar), the commutation residuals with their
-    factor norms, and the compressions of T and H_chibar to ran(chibar).
+    """W, H_chi, H_chibar, ran(chibar), ran(chi), the commutation residuals
+    with their factor norms, and the compressions of T and H_chibar to
+    ran(chibar).
 
     Raises BlockInvertibilityError when ran(chibar) is numerically empty.
     The rank cutoff of a nonzero operator M is rank_rel ||M|| n, so that
@@ -89,7 +93,7 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
             f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
         )
     return _ShiftInvariants(
-        W, T + chi @ W @ chi, H_chibar, ran_chibar, commutation,
+        W, T + chi @ W @ chi, H_chibar, ran_chibar, column_space(chi, tol), commutation,
         *restricted_map(T, ran_chibar), *restricted_map(H_chibar, ran_chibar),
     )
 
@@ -105,6 +109,7 @@ class FeshbachPair:
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
+    ran_chi: Subspace
     T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
     K: np.ndarray  # B*H_chibar B
     evidence: ResidualReport
@@ -174,16 +179,26 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
         evidence.add(f"pair/{label}_block_leak", leak, threshold)
         evidence.add(f"pair/{label}_block_rank_cutoff", cutoff, smin, note="below smallest sv")
 
-    # condition (c): always finite here; record the coupling norm
-    chi, chibar, W = partition.chi, partition.chibar, fixed.W
-    B = fixed.ran_chibar.basis
-    coupling = op_norm(chibar @ B @ np.linalg.solve(fixed.K, B.conj().T @ chibar @ W @ chi))
-    evidence.add("pair/coupling_norm", 0.0, 1.0, note=f"automatic, norm={coupling:.6e}")
-
     return FeshbachPair(
-        H=H, T=T, partition=partition, W=W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
-        ran_chibar=fixed.ran_chibar, T_block=fixed.T_block, K=fixed.K, evidence=evidence,
+        H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
+        ran_chibar=fixed.ran_chibar, ran_chi=fixed.ran_chi, T_block=fixed.T_block, K=fixed.K,
+        evidence=evidence,
     )
+
+
+def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
+    """The blocks (F0, L, R, C*C) of F compressed to ran(chi), for a pair or
+    its _ShiftInvariants p, C the basis of ran(chi) and B that of ran(chibar):
+
+      C*FC = F0 - L K^{-1} R,   F0 = C*H_chi C,   L = C*chi W chibar B,
+                                R = B*chibar W chi C.
+
+    A common shift lam of H and T moves F0 by -lam C*C and K by -lam B*B.
+    """
+    chi, chibar, W = partition.chi, partition.chibar, p.W
+    B, C = p.ran_chibar.basis, p.ran_chi.basis
+    Ch = C.conj().T
+    return Ch @ p.H_chi @ C, Ch @ chi @ W @ chibar @ B, B.conj().T @ chibar @ W @ chi @ C, Ch @ C
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:

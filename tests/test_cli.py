@@ -122,6 +122,17 @@ class TestReduce:
         assert payload["dims"] == [8, 4, 2]
         assert payload["H_invertible"] == payload["final_invertible"]
 
+    @pytest.mark.parametrize("stages", ["0", "-1"])
+    def test_no_stages_exits_2(self, instance_dir, capsys, stages):
+        assert main(["reduce", str(instance_dir), "--stages", stages]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_1x1_instance_exits_2(self, tmp_path, capsys):
+        for name in ("H", "T", "chi", "chibar"):
+            write_matrix(tmp_path / f"{name}.json", np.eye(1))
+        assert main(["reduce", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFuzz:
     def test_deterministic_json(self, tmp_path):
@@ -158,3 +169,7 @@ class TestFuzz:
 
     def test_bad_kind_exits_2(self):
         assert main(["fuzz", "--trials", "1", "--kinds", "bogus"]) == 2
+
+    def test_empty_dim_range_exits_2(self, capsys):
+        assert main(["fuzz", "--trials", "1", "--dim-min", "5", "--dim-max", "3"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from smoothschur import (
     validate_partition,
     worked_2x2,
 )
-from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
+from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
 from smoothschur.isospectral import _grid_resolution
 
 from conftest import crandn
@@ -520,6 +520,57 @@ class TestIteratedReduction:
         with pytest.raises(ReductionStageError) as err:
             iterated_reduction(H, T, halving_partitions(4, 1))
         assert err.value.stage == 0
+
+    @staticmethod
+    def _reference_reduction(H, T, partitions):
+        """The reduction through the n x n F: B*FB and B*TB at each stage,
+        B the basis of ran(chi)."""
+        stages = []
+        for partition in partitions:
+            pair = build_pair(H, T, partition)
+            B = column_space(partition.chi).basis
+            H = B.conj().T @ feshbach_map(pair).F @ B
+            T = B.conj().T @ pair.T @ B
+            stages.append((H, B.shape[1]))
+        return stages
+
+    @staticmethod
+    def _unitary_chain(rng, n, count):
+        """T = U diag(t) U* and sharp partitions onto the first half of its
+        rotated eigenbasis, halving the dimension `count` times."""
+        U, t = random_unitary(rng, n), rng.uniform(1.0, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        T = (U * t) @ U.conj().T
+        parts = []
+        for _ in range(count):
+            r = (U.shape[0] + 1) // 2
+            P = U[:, :r] @ U[:, :r].conj().T
+            parts.append(make_sharp(P))
+            # T compressed to ran(P) is diagonal in the basis C*U of its first r columns
+            U, t = column_space(P).basis.conj().T @ U[:, :r], t[:r]
+        return T, parts
+
+    @pytest.mark.parametrize("chain", ["unitary", "halving"])
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_stages_match_compressed_feshbach_map(self, chain, n):
+        rng = np.random.default_rng(derived_seed(97, n))
+        if chain == "unitary":
+            T, parts = self._unitary_chain(rng, n, 2)
+            H = T + 0.1 * crandn(rng, n, n) / np.sqrt(n)
+        else:
+            H = self._diag_dominant(rng, n)
+            T, parts = np.diag(np.diagonal(H)), halving_partitions(n, 2)
+        stages = iterated_reduction(H, T, parts)
+        reference = self._reference_reduction(H, T, parts)
+        assert [d for _, d in stages] == [d for _, d in reference]
+        for (got, _), (want, _) in zip(stages, reference):
+            assert op_norm(got - want) <= 1e-12 * (1 + op_norm(want))
+
+    def test_partition_dim_mismatch_rejected(self):
+        # the second halving partition is for dim 4, but stage 0 leaves dim 2
+        H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        with pytest.raises(ReductionStageError) as err:
+            iterated_reduction(H, H, halving_partitions(4, 1) * 2)
+        assert err.value.stage == 1
 
     def test_non_proper_subspace_rejected(self):
         part = validate_partition(np.eye(2), np.zeros((2, 2)) + np.diag([1e-6, 1e-6]))

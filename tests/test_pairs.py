@@ -66,6 +66,24 @@ class TestBuildPair:
         assert "H_chibar_inv" not in vars(worked_pair)
         assert worked_pair.T_inv_bar is worked_pair.T_inv_bar
 
+    @pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
+    def test_ran_chi_is_column_space_of_chi(self, kind):
+        inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(43, 8)))
+        pair = build_pair(inst.H, inst.T, inst.partition)
+        assert np.array_equal(pair.ran_chi.basis, column_space(pair.chi).basis)
+
+    @pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
+    def test_pair_evidence_has_no_placeholder(self, kind):
+        # a placeholder such as 0 <= 1 stays put when (H, T) is rescaled;
+        # every pair/ entry is decided against a threshold that scales with it
+        inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(47, 8)))
+        base = build_pair(inst.H, inst.T, inst.partition).evidence
+        scaled = build_pair(4 * inst.H, 4 * inst.T, inst.partition).evidence
+        entries = [e for e in base if e.label.startswith("pair/")]
+        assert len(entries) == 6
+        for entry in entries:
+            assert scaled[entry.label].threshold == pytest.approx(4 * entry.threshold, rel=1e-9)
+
     def test_t_singular_on_ran_chibar(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         T = np.diag([1.0, 0.0]).astype(complex)  # vanishes on ran(chibar)
