@@ -30,6 +30,7 @@ from .errors import (
     SingularRestrictionError,
     SmoothSchurError,
     SubspaceLeakError,
+    ToleranceError,
 )
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
 from .instances import Instance, InstanceSpec, generate, generate_singular, worked_2x2
@@ -50,6 +51,7 @@ from .operator_core import (
     Tolerances,
     column_space,
     kernel_basis,
+    norm_bounds,
     numerical_rank,
     op_norm,
     restricted_inverse,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGridError, InstanceSpecError, MatrixFileError, SmoothSchurError
+from .errors import EmptyGridError, InstanceSpecError, MatrixFileError, SmoothSchurError, ToleranceError
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
 from .instances import KINDS, InstanceSpec, derived_seed, generate
 from .isospectral import (
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFileError, InstanceSpecError, EmptyGridError) as exc:
+    except (MatrixFileError, InstanceSpecError, EmptyGridError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SmoothSchurError as exc:

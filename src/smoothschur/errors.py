@@ -5,6 +5,10 @@ class SmoothSchurError(Exception):
     """Base class for all package errors."""
 
 
+class ToleranceError(SmoothSchurError, ValueError):
+    """A tolerance is not a positive finite number."""
+
+
 class DimensionMismatchError(SmoothSchurError):
     """Operands have incompatible shapes."""
 
@@ -78,7 +82,8 @@ class ReductionStageError(SmoothSchurError):
 
 
 class EmptyGridError(SmoothSchurError):
-    """A spectral scan was requested on an empty grid."""
+    """A spectral scan was requested on an empty grid, or on one with a
+    non-finite point."""
 
 
 class MatrixFileError(SmoothSchurError):

@@ -3,22 +3,34 @@
 The six basic identities relate H, F, Q, Q_sharp and the zero-extended
 inverses; they hold for every valid pair, Hermitian partition or not.  Each
 residual is normalized by 1 + the product of the factor norms so reports are
-comparable across wildly scaled instances.
+comparable across wildly scaled instances, and its gate is residual_rel.
+
+The residual recorded is the number the verdict was decided on (see
+operator_core.norm_gate): almost always the upper bound ||D||_F / (1 + the
+product of the factors' norm lower bounds), D = lhs - rhs, noted "upper
+bound"; the exact spectral norms only when that bound exceeds the gate and
+the lower bound does not.  A recorded residual is thus never below the exact
+one, and every verdict is the exact one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .operator_core import DEFAULT_TOL, Tolerances, op_norm
+from .operator_core import DEFAULT_TOL, Tolerances, norm_gate
 from .pairs import FeshbachData, FeshbachPair
 from .report import ResidualReport
 
 
-def _rel_residual(lhs, rhs, *factors) -> float:
-    scale = 1.0
-    for f in factors:
-        scale *= op_norm(f)
-    return op_norm(lhs - rhs) / (1.0 + scale)
+def _rel_residual(diff, factors, tol: Tolerances):
+    """(residual, residual_rel, note) for ||diff|| / (1 + prod ||f||) <= residual_rel."""
+
+    def gate(r, norms):
+        scale = 1.0
+        for n in norms:
+            scale *= n
+        return r / (1.0 + scale), tol.residual_rel
+
+    return norm_gate(diff, factors, gate)
 
 
 def verify_basics(
@@ -49,7 +61,7 @@ def verify_basics(
         ("basics/intertwine_right", Qs @ H, F @ chi, (Qs, H)),
     ]
     for label, lhs, rhs, factors in checks:
-        report.add(label, _rel_residual(lhs, rhs, *factors), tol.residual_rel)
+        report.add(label, *_rel_residual(lhs - rhs, factors, tol))
     return report
 
 
@@ -59,9 +71,9 @@ def verify_resolvent(pair: FeshbachPair, tol: Tolerances = DEFAULT_TOL) -> Resid
     W_chibar = chibar @ pair.W @ chibar
     lhs = chibar @ (pair.T_inv_bar - pair.H_chibar_inv) @ chibar
     rhs = chibar @ pair.T_inv_bar @ W_chibar @ pair.H_chibar_inv @ chibar
-    residual = _rel_residual(lhs, rhs, pair.T_inv_bar, W_chibar, pair.H_chibar_inv)
+    factors = (pair.T_inv_bar, W_chibar, pair.H_chibar_inv)
     report = ResidualReport()
-    report.add("resolvent/identity", residual, tol.residual_rel)
+    report.add("resolvent/identity", *_rel_residual(lhs - rhs, factors, tol))
     return report
 
 
@@ -75,10 +87,9 @@ def verify_alt_remark(
     M = eye - chi @ Q
 
     report = ResidualReport()
-    residual = _rel_residual(chibar @ chibar @ F, T @ M, chibar, chibar, F)
-    report.add("alt/effective_factorization", residual, tol.residual_rel)
+    factors = (chibar, chibar, F)
+    report.add("alt/effective_factorization", *_rel_residual(chibar @ chibar @ F - T @ M, factors, tol))
 
     P = pair.ran_chibar.projector()
-    containment = op_norm((eye - P) @ M) / (1.0 + op_norm(M))
-    report.add("alt/range_containment", containment, tol.residual_rel)
+    report.add("alt/range_containment", *_rel_residual((eye - P) @ M, (M,), tol))
     return report

@@ -53,8 +53,10 @@ class InstanceSpec:
             raise InstanceSpecError(
                 f"partition_kind must be one of {KINDS}, got {self.partition_kind!r}"
             )
-        if self.perturbation_scale < 0:
-            raise InstanceSpecError("perturbation_scale must be nonnegative")
+        if not (0 <= self.perturbation_scale < np.inf):
+            raise InstanceSpecError(
+                f"perturbation_scale must be finite and nonnegative, got {self.perturbation_scale}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

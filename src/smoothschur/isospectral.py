@@ -23,6 +23,7 @@ from .errors import (
     SubspaceLeakError,
 )
 from .operator_core import (
+    _BRACKET_SLACK,
     ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
@@ -208,12 +209,6 @@ _SCAN_CHUNK_BYTES = 256 * 1024
 #: Eigenvalue candidates dip below this many grid resolutions, times 1 + ||H||.
 _FLAG_SCALE = 10.0
 
-#: Relative slack on the Frobenius bracket of a spectral norm.  It is far
-#: above the rounding of either norm, so a verdict taken from the bracket is
-#: the one the exact norm would give.
-_BRACKET_SLACK = 1e-10
-
-
 #: Relative slack of the eigenvector certificate: a shifted chibar block
 #: skips its SVD only when its lower bound, less this fraction, exceeds every
 #: term against it plus this fraction.  It also caps cond(V), so that the
@@ -323,9 +318,9 @@ class _ShiftedScan:
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
-        """(smallest sv of F_c, pair valid) at each shift in lams."""
+        """(smallest sv of F_c, pair valid) at each finite shift in lams."""
         sv = np.full(lams.shape, np.nan)
-        idx = np.flatnonzero(np.isfinite(lams))
+        idx = np.arange(len(lams))
         for gate in self.gates:
             idx = idx[self._within_thresholds(*gate, lams[idx])]
         for block, certificate in zip(self.blocks, self.certificates):
@@ -396,9 +391,9 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
     commutation residual or leak above rel_threshold of ||T - lambda|| or
     ||H_chibar - lambda||, or a compression of T - lambda or H_chibar -
     lambda whose smallest singular value is at or below its rank cutoff.
-    Non-finite shifts are gaps as well.  Each threshold is first decided
-    from the Frobenius bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F; the
-    exact spectral norm is computed only when a residual falls inside it.
+    Each threshold is first decided from the Frobenius bracket
+    ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F; the exact spectral norm is
+    computed only when a residual falls inside it.
     Each rank test is first decided from one eigendecomposition of the block
     per scan (M = K or B*TB, V its eigenvectors, w its eigenvalues):
 
@@ -416,16 +411,20 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
-    flagged.  Raises DimensionMismatchError when H or T does not match the
-    partition.
+    flagged.  Raises EmptyGridError when the grid is empty or has a
+    non-finite point, and DimensionMismatchError when H or T does not match
+    the partition.
     """
     H = as_matrix(H)
     T = as_matrix(T)
     grid = [complex(z) for z in grid]
     if not grid:
         raise EmptyGridError("spectral scan requires a nonempty grid")
-    scan = _ShiftedScan(H, T, partition, tol)
     lams = np.array(grid, dtype=complex)
+    finite = np.isfinite(lams)
+    if not finite.all():
+        raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
+    scan = _ShiftedScan(H, T, partition, tol)
     svs = np.empty(len(grid))
     valid = np.empty(len(grid), dtype=bool)
     for start in range(0, len(grid), scan.chunk):

@@ -1,6 +1,10 @@
 """Dense complex matrix substrate: norms, kernels, column spaces, and
 operators restricted to subspaces.
 
+A gate comparing spectral norms is decided by norm_gate from the O(size)
+bracket of norm_bounds, and takes the exact norm (an SVD) only when the
+bracket leaves the verdict open.
+
 Every operator in this package is an explicit complex ndarray.  An operator
 restricted to a subspace with orthonormal basis B is kept in coordinates, as
 its k x k compression B^H A B; the gate deciding whether that block is
@@ -10,7 +14,9 @@ full-size matrix for callers that need one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .errors import (
     NonFiniteMatrixError,
     SingularRestrictionError,
     SubspaceLeakError,
+    ToleranceError,
 )
 
 #: Absolute residual floor used when every operator norm involved vanishes.
@@ -29,6 +36,15 @@ _ORTHONORMAL_TOL = 1e-8
 
 #: _fix_gauge pivots on the first entry above this fraction of the largest.
 _GAUGE_REL = 1e-12
+
+#: Relative slack on a bracket of a spectral norm.  It is far above the
+#: rounding of either bound and of the SVD, so a verdict taken from the
+#: bracket is the one the exact norm would give.
+_BRACKET_SLACK = 1e-10
+
+#: The note on a report entry whose value is an upper bound decided by
+#: norm_gate rather than the exact norm.
+BOUND_NOTE = "upper bound"
 
 
 @dataclass(frozen=True)
@@ -45,8 +61,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rel", "residual_rel"):
             value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (0 < value < math.inf):
+                raise ToleranceError(f"{name} must be positive and finite, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -68,6 +84,61 @@ def op_norm(M) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def norm_bounds(M) -> tuple[float, float]:
+    """(lo, hi) with lo <= ||M||_2 <= hi, from O(size) work.
+
+    hi is the Frobenius norm, lo the largest of the largest column norm, the
+    largest row norm and ||M||_F / sqrt(min(shape)) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 6.2); each is widened
+    by _BRACKET_SLACK.  The entries are scaled by the largest modulus first,
+    so squaring them neither overflows nor underflows.  A non-finite entry
+    gives (nan, nan), which leaves every norm_gate verdict to the exact norm.
+    """
+    mags = np.abs(np.asarray(M))
+    if mags.size == 0:
+        return 0.0, 0.0
+    top = float(mags.max())
+    if not math.isfinite(top):
+        return math.nan, math.nan
+    if top == 0.0:
+        return 0.0, 0.0
+    sq = (mags / top) ** 2
+    cols, rows = sq.sum(axis=0), sq.sum(axis=1)
+    fro = float(cols.sum())
+    lo = top * math.sqrt(max(cols.max(), rows.max(), fro / min(sq.shape)))
+    return lo * (1.0 - _BRACKET_SLACK), top * math.sqrt(fro) * (1.0 + _BRACKET_SLACK)
+
+
+def norm_gate(residual, factors, gate: Callable) -> tuple[float, float, str]:
+    """Decide value <= limit for (value, limit) = gate(||residual||, [||f||
+    for f in factors]) from norm_bounds, with the exact op_norm only when the
+    bracket leaves the verdict open.
+
+    gate must be nondecreasing in the residual norm, value nonincreasing and
+    limit nondecreasing in each factor norm.  The bracket's verdict is then
+    the exact one, and the returned (value, limit, note) is either gate at
+    the residual's upper bound and the factors' lower bounds, noted
+    BOUND_NOTE, or gate at the exact norms, noted "".  So value is never below
+    the exact value, limit never above the exact limit, and value <= limit
+    exactly when the exact norms pass.
+    """
+    r_lo, r_hi = norm_bounds(residual)
+    bounds = [norm_bounds(f) for f in factors]
+    value, limit = gate(r_hi, [lo for lo, _ in bounds])
+    if value <= limit:
+        return value, limit, BOUND_NOTE
+    value_lo, limit_hi = gate(r_lo, [hi for _, hi in bounds])
+    if value_lo > limit_hi:
+        return value, limit, BOUND_NOTE
+    return (*gate(op_norm(residual), [op_norm(f) for f in factors]), "")
+
+
+def norm_exceeds(M, limit: float) -> bool:
+    """Whether ||M||_2 > limit, decided by norm_gate."""
+    value, bound, _ = norm_gate(M, (), lambda r, _: (r, limit))
+    return value > bound
 
 
 def smallest_sv(M) -> float:
@@ -104,7 +175,7 @@ class Subspace:
         k = B.shape[1]
         if k:
             gram = B.conj().T @ B
-            if op_norm(gram - np.eye(k)) > _ORTHONORMAL_TOL:
+            if norm_exceeds(gram - np.eye(k), _ORTHONORMAL_TOL):
                 raise ValueError("basis columns are not orthonormal")
 
     @property

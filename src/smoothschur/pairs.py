@@ -42,6 +42,7 @@ from .operator_core import (
     _gate_block,
     as_matrix,
     column_space,
+    norm_exceeds,
     op_norm,
     rel_threshold,
     restricted_map,
@@ -253,6 +254,7 @@ def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
     ran(chibar):  the approximate inverse is
     T^{-1} * sum_n (-chibar W T^{-1} chibar)^n, truncated once the term norm
     falls to NEUMANN_TOL or after max_terms terms (then flagged truncated).
+    Each term's norm is decided against NEUMANN_TOL by norm_exceeds.
     Raises ContractionError when the coupling norm is >= 1.
     """
     chibar, W = pair.chibar, pair.W
@@ -264,7 +266,7 @@ def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
 
     total = term = np.eye(pair.dim, dtype=complex)
     terms_used, truncated = 1, False
-    while op_norm(term := -M @ term) > NEUMANN_TOL:
+    while norm_exceeds(term := -M @ term, NEUMANN_TOL):
         if terms_used >= max_terms:
             truncated = True
             break

@@ -21,7 +21,16 @@ from .errors import (
     NotIdempotentError,
     PartitionError,
 )
-from .operator_core import ABS_FLOOR, DEFAULT_TOL, Tolerances, as_matrix, op_norm, rel_threshold
+from .operator_core import (
+    ABS_FLOOR,
+    DEFAULT_TOL,
+    Tolerances,
+    as_matrix,
+    norm_bounds,
+    norm_gate,
+    op_norm,
+    rel_threshold,
+)
 from .report import ResidualReport
 
 #: Operators with norm below this count as zero (partitions must be nonzero).
@@ -38,25 +47,41 @@ def smoothstep(x):
     return 1.0 - y * y * (3.0 - 2.0 * y)
 
 
+def _rel_gate(tol: Tolerances):
+    """The norm_gate gate of residual <= rel_threshold(tol, *factor norms)."""
+    return lambda r, norms: (r, rel_threshold(tol, *norms))
+
+
+def _hermitian_residual(A: np.ndarray, tol: Tolerances):
+    """(residual, threshold, note) of ||A - A^H|| <= rel_threshold(tol, ||A||)."""
+    return norm_gate(A - A.conj().T, (A,), _rel_gate(tol))
+
+
+def _eigh_function(A: np.ndarray, f: Callable) -> np.ndarray:
+    w, v = np.linalg.eigh(A)
+    return (v * np.asarray(f(w))) @ v.conj().T
+
+
 def hermitian_function(Hf, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """f(Hf) for Hermitian Hf via the spectral theorem."""
     A = as_matrix(Hf)
-    herm_residual = op_norm(A - A.conj().T)
-    if herm_residual > rel_threshold(tol, op_norm(A)):
-        raise NotHermitianError(f"Hermitian residual {herm_residual:.3e}")
-    w, v = np.linalg.eigh(A)
-    return (v * np.asarray(f(w))) @ v.conj().T
+    residual, threshold, _ = _hermitian_residual(A, tol)
+    if residual > threshold:
+        raise NotHermitianError(f"Hermitian residual {residual:.3e} > {threshold:.3e}")
+    return _eigh_function(A, f)
 
 
 def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """f(A) for diagonalizable A via eigen-decomposition.
 
+    Hermitian A takes the spectral theorem, as hermitian_function does.
     Rejects generators whose eigenvector matrix is too ill-conditioned for
     the functional calculus to be trustworthy.
     """
     A = as_matrix(A)
-    if op_norm(A - A.conj().T) <= rel_threshold(tol, op_norm(A)):
-        return hermitian_function(A, f, tol)
+    residual, threshold, _ = _hermitian_residual(A, tol)
+    if residual <= threshold:
+        return _eigh_function(A, f)
     w, v = np.linalg.eig(A)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > MAX_EIGVEC_COND:
@@ -79,6 +104,15 @@ class Partition:
         return self.chi.shape[0]
 
 
+def _is_zero(M: np.ndarray) -> bool:
+    """Whether ||M|| < ZERO_NORM, with the exact norm only when norm_bounds
+    straddle ZERO_NORM."""
+    lo, hi = norm_bounds(M)
+    if lo < ZERO_NORM <= hi:
+        return op_norm(M) < ZERO_NORM
+    return hi < ZERO_NORM
+
+
 def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Check the partition invariants and return the validated pair.
 
@@ -92,20 +126,19 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
         raise DimensionMismatchError(
             f"partition operators must be square and equal-sized, got {chi.shape} and {chibar.shape}"
         )
-    nchi, nchibar = op_norm(chi), op_norm(chibar)
-    if nchi < ZERO_NORM:
+    if _is_zero(chi):
         raise PartitionError("chi is (numerically) the zero operator")
-    if nchibar < ZERO_NORM:
+    if _is_zero(chibar):
         raise PartitionError("chibar is (numerically) the zero operator")
 
-    evidence = ResidualReport()
-    comm = op_norm(chi @ chibar - chibar @ chi)
-    comm_thr = rel_threshold(tol, nchi, nchibar)
-    evidence.add("partition/commutation", comm, comm_thr)
+    def unity_gate(r, norms):
+        nchi, nchibar = norms
+        return r, max(tol.residual_rel * (1.0 + nchi**2 + nchibar**2), ABS_FLOOR)
 
-    unity = op_norm(chi @ chi + chibar @ chibar - np.eye(n))
-    unity_thr = max(tol.residual_rel * (1.0 + nchi**2 + nchibar**2), ABS_FLOOR)
-    evidence.add("partition/unity", unity, unity_thr)
+    evidence = ResidualReport()
+    factors = (chi, chibar)
+    evidence.add("partition/commutation", *norm_gate(chi @ chibar - chibar @ chi, factors, _rel_gate(tol)))
+    evidence.add("partition/unity", *norm_gate(chi @ chi + chibar @ chibar - np.eye(n), factors, unity_gate))
 
     if not evidence.passed:
         failing = [e for e in evidence if not e.passed]
@@ -118,9 +151,9 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
 def make_sharp(P, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Partition from a projection: chi = P, chibar = 1 - P."""
     P = as_matrix(P)
-    idem = op_norm(P @ P - P)
-    if idem > rel_threshold(tol, op_norm(P), op_norm(P)):
-        raise NotIdempotentError(f"P^2 - P residual {idem:.3e}")
+    idem, threshold, _ = norm_gate(P @ P - P, (P, P), _rel_gate(tol))
+    if idem > threshold:
+        raise NotIdempotentError(f"P^2 - P residual {idem:.3e} > {threshold:.3e}")
     n = P.shape[0]
     return validate_partition(P, np.eye(n) - P, tol)
 

@@ -53,6 +53,13 @@ class TestGen:
         for name in ("H.json", "T.json", "chi.json", "chibar.json", "instance.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exits_2(self, tmp_path, capsys, scale):
+        out = tmp_path / "bad"
+        assert main(["gen", "--dim", "4", "--scale", scale, "--out", str(out)]) == 2
+        assert "error: perturbation_scale must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_scale_means_H_equals_T(self, tmp_path):
         out = tmp_path / "z"
         main(["gen", "--dim", "4", "--kind", "smooth", "--scale", "0", "--seed", "1",
@@ -88,6 +95,14 @@ class TestCheck:
     def test_missing_dir_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--rank-tol", "0"), ("--res-tol", "-1"), ("--rank-tol", "nan"), ("--res-tol", "inf")]
+    )
+    def test_bad_tolerance_exits_2(self, capsys, flag, value):
+        assert main(["check", "fixtures/worked2x2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be positive and finite" in err
+
 
 class TestScan:
     def test_csv_and_flags(self, tmp_path, capsys):
@@ -108,6 +123,15 @@ class TestScan:
         code = main(["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "1",
                      "--re-count", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "inf")])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, bounds):
+        csv_path = tmp_path / "scan.csv"
+        code = main(["scan", "fixtures/worked2x2", "--re-min", bounds[0], "--re-max", bounds[1],
+                     "--re-count", "3", "--out", str(csv_path)])
+        assert code == 2
+        assert "error: spectral scan grid has a non-finite point" in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 class TestReduce:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from smoothschur import operator_core
 from smoothschur import (
+    Tolerances,
     build_pair,
     feshbach_map,
     kernel_correspondence,
@@ -13,7 +17,8 @@ from smoothschur import (
     verify_resolvent,
     worked_2x2,
 )
-from smoothschur.instances import InstanceSpec, derived_seed, generate
+from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
+from smoothschur.operator_core import BOUND_NOTE
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
 
@@ -151,3 +156,76 @@ def test_basics_pass_whenever_pair_builds():
         if not verify_basics(pair, data).passed:
             failures.append(i)
     assert not failures
+
+
+def _identity_reports(pair, tol=operator_core.DEFAULT_TOL):
+    data = feshbach_map(pair)
+    return [verify_basics(pair, data, tol), verify_resolvent(pair, tol), verify_alt_remark(pair, data, tol)]
+
+
+@pytest.fixture
+def exact_norms(monkeypatch):
+    """Run a callable with norm_bounds returning (0, inf), which leaves every
+    norm_gate verdict open: every gate then takes the exact spectral norms,
+    the path the bracket replaces."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(operator_core, "norm_bounds", lambda M: (0.0, math.inf))
+            return fn(*args)
+
+    return run
+
+
+def _mixed_pairs():
+    """Generated pairs of every kind at several sizes and scales, and planted kernels."""
+    pairs = []
+    for i, kind in enumerate(KINDS * 4):
+        n = (2, 5, 16, 40)[i // 3]
+        spec = InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=(0.0, 0.1, 0.45)[i % 3],
+                            seed=derived_seed(67, i))
+        inst = generate(spec) if i % 4 else generate_singular(spec, 1)
+        pairs.append(build_pair(inst.H, inst.T, inst.partition))
+    return pairs
+
+
+def test_recorded_residuals_bound_the_exact_ones(exact_norms):
+    for pair in _mixed_pairs():
+        bounded = [e for rep in _identity_reports(pair) for e in rep]
+        exact = [e for rep in exact_norms(_identity_reports, pair) for e in rep]
+        assert [e.label for e in bounded] == [e.label for e in exact]
+        for b, x in zip(bounded, exact):
+            assert b.residual >= x.residual, (b, x)
+            assert b.threshold == x.threshold == 1e-9
+            assert b.passed == x.passed
+            assert b.note in (BOUND_NOTE, "") and x.note == ""
+
+
+def test_partition_evidence_bounds_the_exact_one(exact_norms):
+    for pair in _mixed_pairs():
+        chi, chibar = pair.chi, pair.chibar
+        bounded = validate_partition(chi, chibar).evidence
+        exact = exact_norms(validate_partition, chi, chibar).evidence
+        for b, x in zip(bounded, exact):
+            assert b.label == x.label
+            assert b.residual >= x.residual and b.threshold <= x.threshold and b.passed == x.passed
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+def test_identity_verdicts_near_the_gate_match_exact(exact_norms, ratio):
+    """With residual_rel set within 10x of each exact residual, the bracket
+    often straddles the gate and the exact fallback decides; every verdict
+    is the exact one."""
+    fallbacks = 0
+    for pair in _mixed_pairs()[1::2]:
+        exact = [e.residual for rep in exact_norms(_identity_reports, pair) for e in rep]
+        for target in exact:
+            if target == 0.0:
+                continue
+            tol = Tolerances(residual_rel=target * ratio)
+            bounded = [e for rep in _identity_reports(pair, tol) for e in rep]
+            assert [e.passed for e in bounded] == [r <= tol.residual_rel for r in exact]
+            assert all(e.threshold == tol.residual_rel for e in bounded)
+            fallbacks += sum(e.note == "" for e in bounded)
+    if 0.5 <= ratio <= 2.0:
+        assert fallbacks > 0

@@ -318,15 +318,17 @@ class TestSpectralScan:
         with pytest.raises(EmptyGridError):
             spectral_scan(inst.H, inst.T, inst.partition, [])
 
-    def test_non_finite_shifts_are_gaps(self):
+    def test_non_finite_shifts_are_rejected(self):
         inst = worked_2x2()
         nan, inf = float("nan"), float("inf")
-        grid = [1.0, nan, 2.0, inf, -inf, complex(0.5, inf), complex(nan, 1.0), 4.5]
-        result = spectral_scan(inst.H, inst.T, inst.partition, grid)
-        finite = [bool(np.isfinite(z)) for z in grid]
-        assert result.pair_valid == finite
-        for sv, ok in zip(result.f_smallest_sv, finite):
-            assert np.isfinite(sv) == ok
+        for bad in (nan, inf, -inf, complex(0.5, inf), complex(nan, 1.0)):
+            with pytest.raises(EmptyGridError, match="non-finite"):
+                spectral_scan(inst.H, inst.T, inst.partition, [1.0, 2.0, bad, 4.5])
+
+    def test_scan_bracket_slack_comes_from_operator_core(self):
+        from smoothschur import isospectral, operator_core
+
+        assert isospectral._BRACKET_SLACK is operator_core._BRACKET_SLACK
 
     def test_dimension_mismatch(self):
         inst = worked_2x2()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 from smoothschur import (
     SingularRestrictionError,
     Subspace,
+    ToleranceError,
     Tolerances,
     column_space,
     kernel_basis,
+    norm_bounds,
     numerical_rank,
     op_norm,
     restricted_inverse,
     restricted_map,
 )
 from smoothschur.errors import NonFiniteMatrixError
+from smoothschur.operator_core import BOUND_NOTE, norm_gate
 
 from conftest import crandn
 
@@ -183,3 +188,100 @@ def test_numerical_rank_cutoff_policy():
     tol = Tolerances(rank_rel=1e-6)
     M = np.diag([1.0, 1e-3, 1e-9])
     assert numerical_rank(M, tol) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value", [("rank_rel", 0.0), ("residual_rel", -1.0), ("rank_rel", math.nan), ("residual_rel", math.inf)]
+)
+def test_tolerances_reject_non_positive_and_non_finite(field, value):
+    with pytest.raises(ToleranceError, match="positive and finite") as info:
+        Tolerances(**{field: value})
+    assert isinstance(info.value, ValueError)
+
+
+def _matrix(kind, rows, cols, seed, exponent):
+    """A rows x cols test matrix of the given kind, scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        M = rng.standard_normal((rows, cols))
+    elif kind == "complex":
+        M = crandn(rng, rows, cols)
+    else:  # rank one: ||M||_F = ||M||_2, so only the slack keeps hi above the SVD's value
+        M = np.outer(crandn(rng, rows, 1), crandn(rng, 1, cols))
+    return M * 10.0**exponent
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["real", "complex", "rank1"]),
+    rows=st.integers(0, 9),
+    cols=st.integers(0, 9),
+    seed=st.integers(0, 10**6),
+    exponent=st.integers(-150, 150),
+)
+def test_norm_bounds_bracket_op_norm(kind, rows, cols, seed, exponent):
+    M = _matrix(kind, rows, cols, seed, exponent)
+    lo, hi = norm_bounds(M)
+    assert lo <= op_norm(M) <= hi
+    if M.size:
+        assert hi <= math.sqrt(min(M.shape)) * lo * (1 + 1e-9)
+
+
+def test_norm_bounds_edges():
+    assert norm_bounds(np.zeros((0, 3))) == (0.0, 0.0)
+    assert norm_bounds(np.zeros((2, 3))) == (0.0, 0.0)
+    assert all(math.isnan(b) for b in norm_bounds(np.array([[1.0, np.inf]])))
+
+
+def _exact_verdict(residual, factors, gate):
+    """The verdict of gate at the exact spectral norms: the path norm_gate
+    replaces with its bracket wherever the bracket decides."""
+    value, limit = gate(op_norm(residual), [op_norm(f) for f in factors])
+    return value <= limit
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 12),
+    log_ratio=st.floats(-1.0, 1.0),
+    nfactors=st.integers(0, 3),
+)
+def test_norm_gate_matches_exact_verdict_near_threshold(seed, n, log_ratio, nfactors):
+    """Residuals within 10x of the gate on either side: the bracket often
+    straddles the gate there, so the exact fallback decides."""
+    rng = np.random.default_rng(seed)
+    factors = [crandn(rng, n, n) for _ in range(nfactors)]
+    scale = 1.0 + math.prod(op_norm(f) for f in factors)
+    D = crandn(rng, n, n)
+    D *= 1e-9 * scale * 10.0**log_ratio / op_norm(D)
+
+    def gate(r, norms):
+        return r / (1.0 + math.prod(norms)), 1e-9
+
+    value, limit, note = norm_gate(D, factors, gate)
+    assert (value <= limit) == _exact_verdict(D, factors, gate)
+    exact_value, exact_limit = gate(op_norm(D), [op_norm(f) for f in factors])
+    assert limit == exact_limit
+    assert value >= exact_value * (1 - 1e-12)
+    assert note in (BOUND_NOTE, "")
+    if note == "":
+        assert value == exact_value
+
+
+def test_norm_gate_falls_back_only_when_open():
+    calls = []
+
+    def gate(r, norms):
+        calls.append(r)
+        return r, 1.0
+
+    # ||diag(1, 1)||_2 = 1, and the bracket [1, sqrt(2)] straddles the limit
+    value, limit, note = norm_gate(np.eye(2), (), gate)
+    assert (value, limit, note) == (pytest.approx(1.0), 1.0, "") and len(calls) == 3
+    calls.clear()
+    value, limit, note = norm_gate(0.5 * np.eye(2), (), gate)
+    assert value <= limit and note == BOUND_NOTE and len(calls) == 1
+    calls.clear()
+    value, limit, note = norm_gate(3.0 * np.eye(2), (), gate)
+    assert value > limit and note == BOUND_NOTE and len(calls) == 2

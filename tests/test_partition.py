@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from smoothschur import partition as partition_module
 from smoothschur import (
     NotDiagonalizableError,
+    NotHermitianError,
     NotIdempotentError,
     PartitionError,
     make_commuting_T,
@@ -162,6 +164,28 @@ def test_matrix_function_hermitian_route():
     H = (H + H.conj().T) / 2
     S = matrix_function(H, np.sqrt)
     assert op_norm(S @ S - H) < 1e-12 * op_norm(H)
+
+
+def test_matrix_function_tests_hermitian_once(monkeypatch):
+    calls = []
+    hermitian_residual = partition_module._hermitian_residual
+
+    def counting(A, tol):
+        calls.append(A)
+        return hermitian_residual(A, tol)
+
+    monkeypatch.setattr(partition_module, "_hermitian_residual", counting)
+    rng = np.random.default_rng(19)
+    G = crandn(rng, 5, 5)
+    for A in (G + G.conj().T, G):
+        S = matrix_function(A, lambda w: w * w)
+        assert op_norm(S - A @ A) < 1e-9 * op_norm(A) ** 2
+    assert len(calls) == 2
+
+
+def test_hermitian_function_rejects_non_hermitian():
+    with pytest.raises(NotHermitianError, match="Hermitian residual"):
+        partition_module.hermitian_function(np.array([[0.0, 1.0], [0.0, 0.0]]), np.exp)
 
 
 def test_smoothstep_shape():
