@@ -136,6 +136,10 @@ def cmd_scan(args) -> int:
     partition = validate_partition(mats["chi"], mats["chibar"], tol)
     if args.re_count < 1 or args.im_count < 1:
         raise EmptyGridError("grid counts must be >= 1")
+    for flag in ("re_min", "re_max", "im_min", "im_max"):
+        bound = getattr(args, flag)
+        if not np.isfinite(bound):
+            raise EmptyGridError(f"spectral scan grid has a non-finite point: --{flag.replace('_', '-')} {bound}")
     res = np.linspace(args.re_min, args.re_max, args.re_count)
     ims = np.linspace(args.im_min, args.im_max, args.im_count)
     grid = [complex(r, i) for i in ims for r in res]

@@ -116,11 +116,9 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
 
 
 def _well_conditioned(pair: FeshbachPair) -> bool:
-    for coords in (pair.K, pair.T_block):
-        s = np.linalg.svd(coords, compute_uv=False)
-        if s[-1] < _CONDITION_MARGIN * s[0]:
-            return False
-    return True
+    """Whether both chibar blocks have smallest sv at least _CONDITION_MARGIN
+    times their largest, read from the values build_pair's rank tests took."""
+    return all(smin >= _CONDITION_MARGIN * smax for smin, smax in pair.block_svs.values())
 
 
 def generate(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> Instance:

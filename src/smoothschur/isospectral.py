@@ -24,6 +24,7 @@ from .errors import (
 )
 from .operator_core import (
     _BRACKET_SLACK,
+    _CERT_ROUNDING,
     ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
@@ -215,10 +216,6 @@ _FLAG_SCALE = 10.0
 #: computed condition number is itself accurate within the slack.
 _CERT_SLACK = 1e-3
 
-#: Rounding in forming M V - V diag(w), the shifted block and its SVD is
-#: taken as at most this many k eps times the norms of the factors.
-_CERT_ROUNDING = 8
-
 
 class _EigenCertificate(NamedTuple):
     """A lower bound on sigma_min(M - lam G) at every lam, from one
@@ -288,7 +285,10 @@ class _ShiftedScan:
     _shift_invariants that build_pair uses, with the blocks of F compressed
     to ran(chi) from _compressed_map.  That raises BlockInvertibilityError
     when ran(chibar) is numerically empty, which is exactly when ran(chi)
-    is, so both ranges here have dimension at least 1.
+    is, so both ranges here have dimension at least 1.  The exact norms of
+    the commutation and leak residuals are taken here once per scan, where
+    build_pair decides the same gates from norm brackets; both reach the
+    exact verdict.
 
     Each k x k block M also gets one _EigenCertificate, from eig(M): a lower
     bound on sigma_min(M - lam B*B) that costs O(k) per shift.  Where it
@@ -302,11 +302,14 @@ class _ShiftedScan:
         fixed = _shift_invariants(H, T, partition, tol)
         B = fixed.ran_chibar.basis
         # (operator A, its squared Frobenius norm off the diagonal, which a
-        # shift leaves alone, [(residual, factor norm)]): each residual must
-        # stay within rel_threshold(factor, ||A - lam||), as in build_pair
+        # shift leaves alone, [(residual norm, factor norm)]): each residual
+        # must stay within rel_threshold(factor, ||A - lam||), as in build_pair
+        commutation = [
+            (op_norm(r), op_norm(c)) for r, c in zip(fixed.commutation, (partition.chi, partition.chibar))
+        ]
         self.gates = [
-            (T, _off_diagonal_sq(T), [*fixed.commutation, (fixed.T_leak, 1.0)]),
-            (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(fixed.K_leak, 1.0)]),
+            (T, _off_diagonal_sq(T), [*commutation, (op_norm(fixed.T_leak), 1.0)]),
+            (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(op_norm(fixed.K_leak), 1.0)]),
         ]
         self.blocks = (fixed.T_block, fixed.K)
         self.gram_B = B.conj().T @ B

@@ -3,13 +3,17 @@ operators restricted to subspaces.
 
 A gate comparing spectral norms is decided by norm_gate from the O(size)
 bracket of norm_bounds, and takes the exact norm (an SVD) only when the
-bracket leaves the verdict open.
+bracket leaves the verdict open; rel_gate is that gate for residual <=
+rel_threshold(tol, factor norms).  kernel_basis decides an empty kernel from
+the singular values alone when the smallest clears the rank cutoff by more
+than their rounding, and takes the full SVD only otherwise.
 
 Every operator in this package is an explicit complex ndarray.  An operator
 restricted to a subspace with orthonormal basis B is kept in coordinates, as
-its k x k compression B^H A B; the gate deciding whether that block is
-invertible (leak off the subspace, smallest singular value against the rank
-cutoff) lives here.  restricted_inverse zero-extends the inverse block to a
+its k x k compression B^H A B, next to the residual (1 - B B^H) A B whose
+norm is its leak off the subspace; the gate deciding whether that block is
+invertible (leak threshold, smallest singular value against the rank cutoff)
+lives here.  restricted_inverse zero-extends the inverse block to a
 full-size matrix for callers that need one.
 """
 from __future__ import annotations
@@ -41,6 +45,11 @@ _GAUGE_REL = 1e-12
 #: rounding of either bound and of the SVD, so a verdict taken from the
 #: bracket is the one the exact norm would give.
 _BRACKET_SLACK = 1e-10
+
+#: Rounding in a computed SVD, and in the products and differences a
+#: certificate forms, is taken as at most this many max(shape) eps times the
+#: largest singular value, or the norms of the factors.
+_CERT_ROUNDING = 8
 
 #: The note on a report entry whose value is an upper bound decided by
 #: norm_gate rather than the exact norm.
@@ -133,6 +142,11 @@ def norm_gate(residual, factors, gate: Callable) -> tuple[float, float, str]:
     if value_lo > limit_hi:
         return value, limit, BOUND_NOTE
     return (*gate(op_norm(residual), [op_norm(f) for f in factors]), "")
+
+
+def rel_gate(residual, factors, tol: Tolerances) -> tuple[float, float, str]:
+    """norm_gate of ||residual|| <= rel_threshold(tol, *[||f|| for f in factors])."""
+    return norm_gate(residual, factors, lambda r, norms: (r, rel_threshold(tol, *norms)))
 
 
 def norm_exceeds(M, limit: float) -> bool:
@@ -235,11 +249,22 @@ def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical null space of M."""
+    """Orthonormal basis of the numerical null space of M.
+
+    With rows >= cols the singular values alone decide an empty kernel: when
+    the smallest exceeds the rank cutoff by more than _CERT_ROUNDING
+    max(shape) eps times the largest, the full SVD's values, which differ
+    from these by less, clear its cutoff too.  Otherwise the full SVD decides.
+    """
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return Subspace(cols, np.eye(cols, dtype=complex))
+    if rows >= cols:
+        s = np.linalg.svd(A, compute_uv=False)
+        rho = _CERT_ROUNDING * max(A.shape) * np.finfo(float).eps
+        if s[-1] - _rank_cutoff(s, A.shape, tol) > rho * s[0]:
+            return Subspace.empty(cols)
     _, s, vh = np.linalg.svd(A)
     cutoff = _rank_cutoff(s, A.shape, tol)
     rank = int(np.sum(s > cutoff))
@@ -259,12 +284,9 @@ def column_space(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(rows, _fix_gauge(u[:, :rank]))
 
 
-def restricted_map(A, V: Subspace):
-    """Coordinate representation of A on the subspace V.
-
-    Returns (coords, leak): coords = B^H A B with B the basis of V, and
-    leak = ||(1 - B B^H) A B||, the extent to which A fails to map V into V.
-    """
+def _compress(A, V: Subspace):
+    """(B^H A B, (1 - B B^H) A B) for the basis B of V: the compression of A
+    to V and the residual whose norm is the leak of A off V."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] != V.ambient_dim:
         raise DimensionMismatchError(
@@ -273,38 +295,49 @@ def restricted_map(A, V: Subspace):
     B = V.basis
     AB = A @ B
     coords = B.conj().T @ AB
-    leak = op_norm(AB - B @ coords)
-    return coords, leak
+    return coords, AB - B @ coords
 
 
-def _gate_block(coords: np.ndarray, leak: float, norm: float, tol: Tolerances):
-    """Gate the compression (coords, leak) from restricted_map of an operator
-    of norm `norm`: raise SubspaceLeakError when leak > rel_threshold(tol,
-    norm), SingularRestrictionError when the smallest singular value of
-    coords is at or below its rank cutoff.  Returns the margins decided on,
-    (leak threshold, smallest sv, rank cutoff); an empty block gives 0, 0.
+def restricted_map(A, V: Subspace):
+    """Coordinate representation of A on the subspace V.
+
+    Returns (coords, leak): coords = B^H A B with B the basis of V, and
+    leak = ||(1 - B B^H) A B||, the extent to which A fails to map V into V.
     """
-    threshold = rel_threshold(tol, norm)
+    coords, leak = _compress(A, V)
+    return coords, op_norm(leak)
+
+
+def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Tolerances):
+    """Gate a compression whose leak was decided against threshold (by
+    rel_gate): raise SubspaceLeakError when leak > threshold,
+    SingularRestrictionError when the smallest singular value of coords is at
+    or below its rank cutoff.  Returns (smallest sv, largest sv, rank cutoff);
+    an empty block gives 0, 0, 0.
+    """
     if leak > threshold:
         raise SubspaceLeakError(leak, threshold)
     s = np.linalg.svd(coords, compute_uv=False)
     if not s.size:
-        return threshold, 0.0, 0.0
+        return 0.0, 0.0, 0.0
     cutoff = _rank_cutoff(s, coords.shape, tol)
     if s[-1] <= cutoff:
         raise SingularRestrictionError(
             f"compression singular on the subspace: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
         )
-    return threshold, float(s[-1]), float(cutoff)
+    return float(s[-1]), float(s[0]), float(cutoff)
 
 
 def restricted_inverse(A, V: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of A restricted to V, extended by zero off V.
 
-    Requires A to map V into V (small leak) and the compression B^H A B to be
-    numerically invertible (see _gate_block).  The result G satisfies
-    G A v = A G v = v for v in V and G w = 0 for w orthogonal to V.
+    Requires A to map V into V, its leak decided by rel_gate against
+    rel_threshold(tol, ||A||), and the compression B^H A B to be numerically
+    invertible (see _gate_block).  The result G satisfies G A v = A G v = v
+    for v in V and G w = 0 for w orthogonal to V.
     """
-    coords, leak = restricted_map(A, V)
-    _gate_block(coords, leak, op_norm(A), tol)
+    A = as_matrix(A)
+    coords, residual = _compress(A, V)
+    leak, threshold, _ = rel_gate(residual, (A,), tol)
+    _gate_block(coords, leak, threshold, tol)
     return V.zero_extended_inverse(coords)

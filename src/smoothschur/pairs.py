@@ -18,6 +18,14 @@ solves against the block K = B*H_chibar B; the zero-extended n x n inverses
 are built only when read.  The pair also keeps ran(chi), and _compressed_map
 gives the blocks of F compressed to it, which the spectral scan and the
 iterated reduction read.
+
+The commutation gates of (a) and the leak gates of (b) are decided by
+operator_core.rel_gate from norm brackets: the evidence records an upper
+bound of each residual, noted "upper bound", against a threshold from lower
+bounds of the factor norms, and the exact norms only where the bracket
+leaves the verdict open.  The spectral scan takes the exact norms of the
+same residuals, from _shift_invariants, once per scan.  The pair keeps the
+smallest and largest singular values of each block from its rank test.
 """
 from __future__ import annotations
 
@@ -39,13 +47,13 @@ from .operator_core import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _compress,
     _gate_block,
     as_matrix,
     column_space,
     norm_exceeds,
     op_norm,
-    rel_threshold,
-    restricted_map,
+    rel_gate,
 )
 from .partition import Partition
 from .report import ResidualReport
@@ -56,24 +64,25 @@ NEUMANN_TOL = 1e-12
 
 class _ShiftInvariants(NamedTuple):
     """The part of a pair that a common shift of H and T leaves unchanged,
-    but for T_block and K, which move by -lam B*B."""
+    but for T_block and K, which move by -lam B*B.  The commutation and leak
+    residuals are kept as matrices, each gate taking their norms as it needs."""
 
     W: np.ndarray
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
     ran_chi: Subspace
-    commutation: tuple  # (||c T - T c||, ||c||) for c = chi, chibar
+    commutation: tuple  # c T - T c for c = chi, chibar
     T_block: np.ndarray  # B*TB
-    T_leak: float  # ||(1 - BB*) T B||
+    T_leak: np.ndarray  # (1 - BB*) T B
     K: np.ndarray  # B*H_chibar B
-    K_leak: float  # ||(1 - BB*) H_chibar B||
+    K_leak: np.ndarray  # (1 - BB*) H_chibar B
 
 
 def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
-    """W, H_chi, H_chibar, ran(chibar), ran(chi), the commutation residuals
-    with their factor norms, and the compressions of T and H_chibar to
-    ran(chibar).
+    """W, H_chi, H_chibar, ran(chibar), ran(chi), the commutation residuals,
+    and the compressions of T and H_chibar to ran(chibar) with their leak
+    residuals.
 
     Raises BlockInvertibilityError when ran(chibar) is numerically empty.
     The rank cutoff of a nonzero operator M is rank_rel ||M|| n, so that
@@ -86,16 +95,16 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
     W = H - T
     H_chibar = T + chibar @ W @ chibar
     ran_chibar = column_space(chibar, tol)
-    commutation = tuple((op_norm(c @ T - T @ c), op_norm(c)) for c in (chi, chibar))
     if not ran_chibar.dim:
-        nchibar = commutation[1][1]
+        nchibar = op_norm(chibar)
         cutoff = tol.rank_rel * nchibar * n
         raise BlockInvertibilityError(
             f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
         )
     return _ShiftInvariants(
-        W, T + chi @ W @ chi, H_chibar, ran_chibar, column_space(chi, tol), commutation,
-        *restricted_map(T, ran_chibar), *restricted_map(H_chibar, ran_chibar),
+        W, T + chi @ W @ chi, H_chibar, ran_chibar, column_space(chi, tol),
+        tuple(c @ T - T @ c for c in (chi, chibar)),
+        *_compress(T, ran_chibar), *_compress(H_chibar, ran_chibar),
     )
 
 
@@ -113,6 +122,7 @@ class FeshbachPair:
     ran_chi: Subspace
     T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
     K: np.ndarray  # B*H_chibar B
+    block_svs: dict  # "T" / "H_chibar" -> (smallest sv, largest sv) of its block
     evidence: ResidualReport
 
     @property
@@ -148,7 +158,13 @@ class FeshbachData:
 
 
 def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> FeshbachPair:
-    """Assemble and validate a pair (H, T) for the given partition."""
+    """Assemble and validate a pair (H, T) for the given partition.
+
+    Each commutation and leak gate is decided by rel_gate, so it records the
+    upper bound of its residual against a threshold from the lower bounds of
+    the factor norms, noted "upper bound", unless the bracket leaves the
+    verdict open and the exact norms decide.
+    """
     H = as_matrix(H)
     T = as_matrix(T)
     fixed = _shift_invariants(H, T, partition, tol)
@@ -157,33 +173,34 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
     evidence.extend(partition.evidence)
 
     # condition (a): T commutes with chi and chibar
-    nT = op_norm(T)
-    for label, (residual, factor) in zip(("chi", "chibar"), fixed.commutation):
-        threshold = rel_threshold(tol, factor, nT)
-        entry = evidence.add(f"pair/commutation_{label}_T", residual, threshold)
+    for label, c, residual in zip(("chi", "chibar"), (partition.chi, partition.chibar), fixed.commutation):
+        entry = evidence.add(f"pair/commutation_{label}_T", *rel_gate(residual, (c, T), tol))
         if not entry.passed:
             raise CommutationError(
-                f"{label} does not commute with T: residual {residual:.3e} > {threshold:.3e}"
+                f"{label} does not commute with T: residual {entry.residual:.3e} > {entry.threshold:.3e}"
             )
 
     # condition (b): T and H_chibar invertible on ran(chibar); each block's
     # leak is recorded against its threshold, and its rank cutoff against its
     # smallest singular value
-    for label, block, leak, norm in (
-        ("T", fixed.T_block, fixed.T_leak, nT),
-        ("H_chibar", fixed.K, fixed.K_leak, op_norm(fixed.H_chibar)),
+    block_svs = {}
+    for label, A, block, residual in (
+        ("T", T, fixed.T_block, fixed.T_leak),
+        ("H_chibar", fixed.H_chibar, fixed.K, fixed.K_leak),
     ):
+        leak, threshold, note = rel_gate(residual, (A,), tol)
         try:
-            threshold, smin, cutoff = _gate_block(block, leak, norm, tol)
+            smin, smax, cutoff = _gate_block(block, leak, threshold, tol)
         except (SubspaceLeakError, SingularRestrictionError) as exc:
             raise BlockInvertibilityError(f"{label} not invertible on ran(chibar): {exc}") from exc
-        evidence.add(f"pair/{label}_block_leak", leak, threshold)
+        evidence.add(f"pair/{label}_block_leak", leak, threshold, note)
         evidence.add(f"pair/{label}_block_rank_cutoff", cutoff, smin, note="below smallest sv")
+        block_svs[label] = (smin, smax)
 
     return FeshbachPair(
         H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
         ran_chibar=fixed.ran_chibar, ran_chi=fixed.ran_chi, T_block=fixed.T_block, K=fixed.K,
-        evidence=evidence,
+        block_svs=block_svs, evidence=evidence,
     )
 
 

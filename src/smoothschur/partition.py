@@ -29,7 +29,7 @@ from .operator_core import (
     norm_bounds,
     norm_gate,
     op_norm,
-    rel_threshold,
+    rel_gate,
 )
 from .report import ResidualReport
 
@@ -47,14 +47,9 @@ def smoothstep(x):
     return 1.0 - y * y * (3.0 - 2.0 * y)
 
 
-def _rel_gate(tol: Tolerances):
-    """The norm_gate gate of residual <= rel_threshold(tol, *factor norms)."""
-    return lambda r, norms: (r, rel_threshold(tol, *norms))
-
-
 def _hermitian_residual(A: np.ndarray, tol: Tolerances):
     """(residual, threshold, note) of ||A - A^H|| <= rel_threshold(tol, ||A||)."""
-    return norm_gate(A - A.conj().T, (A,), _rel_gate(tol))
+    return rel_gate(A - A.conj().T, (A,), tol)
 
 
 def _eigh_function(A: np.ndarray, f: Callable) -> np.ndarray:
@@ -137,7 +132,7 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
 
     evidence = ResidualReport()
     factors = (chi, chibar)
-    evidence.add("partition/commutation", *norm_gate(chi @ chibar - chibar @ chi, factors, _rel_gate(tol)))
+    evidence.add("partition/commutation", *rel_gate(chi @ chibar - chibar @ chi, factors, tol))
     evidence.add("partition/unity", *norm_gate(chi @ chi + chibar @ chibar - np.eye(n), factors, unity_gate))
 
     if not evidence.passed:
@@ -151,7 +146,7 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
 def make_sharp(P, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Partition from a projection: chi = P, chibar = 1 - P."""
     P = as_matrix(P)
-    idem, threshold, _ = norm_gate(P @ P - P, (P, P), _rel_gate(tol))
+    idem, threshold, _ = rel_gate(P @ P - P, (P, P), tol)
     if idem > threshold:
         raise NotIdempotentError(f"P^2 - P residual {idem:.3e} > {threshold:.3e}")
     n = P.shape[0]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestScan:
                      "--re-count", "3", "--out", str(csv_path)])
         assert code == 2
         assert "error: spectral scan grid has a non-finite point" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--re-min", "--re-max", "--im-min", "--im-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_bound_rejected_before_the_grid(self, tmp_path, capsys, flag, value):
+        # linspace over a non-finite bound warns; the bound is rejected first,
+        # so stderr holds the error line alone
+        bounds = {"--re-min": "0", "--re-max": "1", "--im-min": "0", "--im-max": "1", flag: value}
+        argv = ["scan", "fixtures/worked2x2", "--re-count", "3", "--im-count", "2"]
+        csv_path = tmp_path / "scan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + [f"{k}={v}" for k, v in bounds.items()] + ["--out", str(csv_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: spectral scan grid has a non-finite point: {flag} {float(value)}\n"
         assert not csv_path.exists()
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -161,20 +159,6 @@ def test_basics_pass_whenever_pair_builds():
 def _identity_reports(pair, tol=operator_core.DEFAULT_TOL):
     data = feshbach_map(pair)
     return [verify_basics(pair, data, tol), verify_resolvent(pair, tol), verify_alt_remark(pair, data, tol)]
-
-
-@pytest.fixture
-def exact_norms(monkeypatch):
-    """Run a callable with norm_bounds returning (0, inf), which leaves every
-    norm_gate verdict open: every gate then takes the exact spectral norms,
-    the path the bracket replaces."""
-
-    def run(fn, *args):
-        with monkeypatch.context() as m:
-            m.setattr(operator_core, "norm_bounds", lambda M: (0.0, math.inf))
-            return fn(*args)
-
-    return run
 
 
 def _mixed_pairs():

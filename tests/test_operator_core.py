@@ -18,8 +18,8 @@ from smoothschur import (
     restricted_inverse,
     restricted_map,
 )
-from smoothschur.errors import NonFiniteMatrixError
-from smoothschur.operator_core import BOUND_NOTE, norm_gate
+from smoothschur.errors import NonFiniteMatrixError, SubspaceLeakError
+from smoothschur.operator_core import BOUND_NOTE, _fix_gauge, norm_gate
 
 from conftest import crandn
 
@@ -73,6 +73,71 @@ class TestKernelBasis:
             col = K.basis[:, j]
             lead = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
             assert lead.real > 0 and abs(lead.imag) < 1e-12
+
+    def test_full_svd_only_when_the_values_leave_the_kernel_open(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(5)
+        M = crandn(rng, 6, 4)
+        assert kernel_basis(M).basis.shape == (4, 0) and calls == [False]
+        calls.clear()
+        M[:, 3] = M[:, 0]
+        assert kernel_basis(M).dim == 1 and calls == [False, True]
+        calls.clear()
+        assert kernel_basis(M.T).dim == 3 and calls == [True]  # rows < cols: never empty
+
+
+def _kernel_reference(M, tol=Tolerances()):
+    """The basis kernel_basis gives, from the full SVD alone: the path its
+    value-only certificate skips when the kernel is certainly empty."""
+    A = np.asarray(M, dtype=complex)
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > tol.rank_rel * s[0] * max(A.shape)))
+    return _fix_gauge(vh[rank:].conj().T)
+
+
+def _orthonormal(rng, n, k, real):
+    G = rng.standard_normal((n, k)) if real else crandn(rng, n, k)
+    return np.linalg.qr(G)[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 10),
+    cols=st.integers(1, 10),
+    seed=st.integers(0, 10**6),
+    ratio=st.one_of(
+        st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        st.sampled_from([1 - 1e-6, 1 + 1e-9, 1 + 1e-6, 1 + 3e-5, 1 + 1e-4]),
+    ),
+    planted=st.integers(0, 2),
+    exponent=st.integers(-100, 100),
+    real=st.booleans(),
+)
+def test_kernel_basis_matches_full_svd(rows, cols, seed, ratio, planted, exponent, real):
+    """Singular values 1, then uniform in [0.1, 1], then one at ratio times
+    the rank cutoff, then `planted` exact zeros: the certificate decides the
+    clear cases, the full SVD the rest, and the kernel is the full SVD's."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = rng.uniform(0.1, 1.0, k)
+    s[0] = 1.0
+    zeros = min(planted, k - 1)
+    if k - zeros > 1:
+        s[k - zeros - 1] = ratio * 1e-10 * max(rows, cols)
+    s[k - zeros:] = 0.0
+    U, V = _orthonormal(rng, rows, k, real), _orthonormal(rng, cols, k, real)
+    M = (U * s) @ V.conj().T * 10.0**exponent
+    K = kernel_basis(M)
+    want = _kernel_reference(M)
+    assert K.dim == want.shape[1]
+    assert np.array_equal(K.basis, want)
 
 
 class TestColumnSpace:
@@ -285,3 +350,23 @@ def test_norm_gate_falls_back_only_when_open():
     calls.clear()
     value, limit, note = norm_gate(3.0 * np.eye(2), (), gate)
     assert value > limit and note == BOUND_NOTE and len(calls) == 2
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+def test_restricted_inverse_leak_near_the_threshold(exact_norms, ratio):
+    """A leak at ratio times rel_threshold(||A||): restricted_inverse raises
+    SubspaceLeakError exactly when ratio > 1, with the bracket or without."""
+    rng = np.random.default_rng(83)
+    for n, k in ((4, 2), (9, 3), (16, 8)):
+        B, _ = np.linalg.qr(crandn(rng, n, n))
+        V = Subspace(n, B[:, :k])
+        A = B @ np.diag(rng.uniform(1.0, 2.0, n)) @ B.conj().T
+        A = A + 1e-7 * crandn(rng, n, n)
+        _, leak = restricted_map(A, V)
+        tol = Tolerances(residual_rel=leak / (ratio * op_norm(A)))
+        for run in (lambda f, *a: f(*a), exact_norms):
+            if ratio > 1:
+                with pytest.raises(SubspaceLeakError):
+                    run(restricted_inverse, A, V, tol)
+            else:
+                run(restricted_inverse, A, V, tol)

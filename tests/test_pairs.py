@@ -6,6 +6,7 @@ from smoothschur import (
     CommutationError,
     ContractionError,
     FeshbachData,
+    SmoothSchurError,
     Tolerances,
     build_pair,
     column_space,
@@ -14,6 +15,8 @@ from smoothschur import (
     neumann_inverse,
     op_norm,
     restricted_inverse,
+    restricted_map,
+    spectral_scan,
     sufficient_conditions,
     validate_partition,
     verify_alt_remark,
@@ -21,9 +24,11 @@ from smoothschur import (
     verify_resolvent,
     worked_2x2,
 )
-from smoothschur.instances import InstanceSpec, derived_seed, generate
+from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate
+from smoothschur.errors import SubspaceLeakError
+from smoothschur.operator_core import BOUND_NOTE, rel_threshold
 
-from conftest import crandn
+from conftest import KINDS, crandn
 
 
 @pytest.fixture
@@ -83,6 +88,25 @@ class TestBuildPair:
         assert len(entries) == 6
         for entry in entries:
             assert scaled[entry.label].threshold == pytest.approx(4 * entry.threshold, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_svs_are_the_rank_tests_values(self, kind):
+        # _well_conditioned reads these instead of taking each block's SVD again
+        for i in range(4):
+            spec = InstanceSpec(dim=3 + 5 * i, partition_kind=kind, perturbation_scale=0.45,
+                                seed=derived_seed(79, i))
+            inst = generate(spec)
+            pair = build_pair(inst.H, inst.T, inst.partition)
+            for label, block in (("T", pair.T_block), ("H_chibar", pair.K)):
+                s = np.linalg.svd(block, compute_uv=False)
+                assert pair.block_svs[label] == (s[-1], s[0])
+                assert pair.evidence[f"pair/{label}_block_rank_cutoff"].threshold == s[-1]
+            assert _well_conditioned(pair)  # generate keeps only such draws
+        # a chibar block with smallest sv 1e-5 of its largest passes the rank
+        # test but not the generator's conditioning margin
+        T = np.diag([1.0, 1e-5, 1.0]).astype(complex)
+        pair = build_pair(T, T, make_sharp(np.diag([1.0, 0.0, 0.0])))
+        assert pair.block_svs["T"] == (1e-5, 1.0) and not _well_conditioned(pair)
 
     def test_t_singular_on_ran_chibar(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -273,3 +297,126 @@ def test_block_solves_match_inverse_formulas(kind, n, scale):
 
     assert verdicts(data) == verdicts(ref)
     assert all(passed for _, passed in verdicts(data))
+
+
+def _near_gate_pairs():
+    """(H, T, partition): pairs whose T is coupled across the partition by
+    about 1e-8 relative to ||T||, so each commutation residual, and each leak
+    off ran(chibar) of a sharp partition, is about 1e-8 ||T||.  The first
+    two are hand-made 4 x 4 pairs: a diagonal smooth partition, whose
+    ran(chibar) is everything so nothing leaks, and a sharp one."""
+    rng = np.random.default_rng(71)
+    E = crandn(rng, 4, 4)
+    E *= 1e-8 / op_norm(E)
+    T = np.diag([1.0, 2.0 + 0.5j, -1.5, 3.0]) + E
+    # H_chibar leaks as much as T does, and the -2.5 inside ran(chibar)
+    # makes ||H_chibar|| smaller than ||T||, so its leak gate can bind
+    H = T + 0.5 * crandn(rng, 4, 4) + np.diag([0.0, 0.0, 0.0, -2.5])
+    theta = np.array([0.3, 0.7, 1.0, 1.3])
+    pairs = [
+        (H, T, validate_partition(np.diag(np.cos(theta)), np.diag(np.sin(theta)))),
+        (H, T, make_sharp(np.diag([1.0, 1.0, 0.0, 0.0]))),
+    ]
+    for i, kind in enumerate(KINDS):
+        inst = generate(InstanceSpec(dim=8, partition_kind=kind, perturbation_scale=0.45, seed=derived_seed(73, i)))
+        E = crandn(rng, 8, 8)
+        E *= 1e-8 * op_norm(inst.T) / op_norm(E)
+        pairs.append((inst.H + E, inst.T + E, inst.partition))
+    return pairs
+
+
+def _exact_gates(H, T, partition):
+    """(label, residual, factor norm product) of each commutation and leak
+    gate of build_pair, from exact norms: the gate passes when residual <=
+    rel_threshold of the product."""
+    chi, chibar = partition.chi, partition.chibar
+    V = column_space(chibar)
+    H_chibar = T + chibar @ (H - T) @ chibar
+    gates = [
+        (f"pair/commutation_{label}_T", op_norm(c @ T - T @ c), op_norm(c) * op_norm(T))
+        for label, c in (("chi", chi), ("chibar", chibar))
+    ]
+    gates += [
+        (f"pair/{label}_block_leak", restricted_map(A, V)[1], op_norm(A))
+        for label, A in (("T", T), ("H_chibar", H_chibar))
+    ]
+    return gates
+
+
+def _exact_outcome(H, T, partition, tol):
+    """What _outcome gives by _exact_gates alone, for pairs whose chibar
+    blocks clear their rank cutoffs: the error types of the first gate that
+    fails, or None when all pass."""
+    for label, residual, scale in _exact_gates(H, T, partition):
+        if residual > rel_threshold(tol, scale):
+            if label.startswith("pair/commutation_"):
+                return CommutationError, type(None)
+            return BlockInvertibilityError, SubspaceLeakError
+    return None
+
+
+def _outcome(H, T, partition, tol):
+    """build_pair's evidence by label, or the types of the error it raised
+    and of that error's cause."""
+    try:
+        return {e.label: e for e in build_pair(H, T, partition, tol).evidence}
+    except SmoothSchurError as exc:
+        return type(exc), type(exc.__cause__)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+def test_pair_gates_near_the_threshold_match_exact(exact_norms, ratio):
+    """With residual_rel set so that one gate's exact residual is ratio times
+    its threshold, the bracket often straddles the threshold and the exact
+    norms decide; every verdict and every error is the exact path's."""
+    fallbacks = 0
+    for H, T, partition in _near_gate_pairs():
+        for label, residual, scale in _exact_gates(H, T, partition):
+            if residual < 1e-10:  # its threshold would sit on ABS_FLOOR
+                continue
+            tol = Tolerances(residual_rel=residual / (ratio * scale))
+            got = _outcome(H, T, partition, tol)
+            want = exact_norms(_outcome, H, T, partition, tol)
+            expected = _exact_outcome(H, T, partition, tol)
+            if ratio > 1:
+                assert expected is not None
+            if expected is not None:
+                assert got == want == expected, label
+                continue
+            assert list(got) == list(want)
+            for entry_label, x in want.items():
+                b = got[entry_label]
+                if not entry_label.startswith(("pair/commutation_", "pair/T_block_leak", "pair/H_chibar_block_leak")):
+                    assert b == x
+                    continue
+                assert b.passed == x.passed and x.note == ""
+                assert b.residual >= x.residual and b.threshold <= x.threshold
+                if b.note == "":
+                    assert (b.residual, b.threshold) == (x.residual, x.threshold)
+                    fallbacks += 1
+                else:
+                    assert b.note == BOUND_NOTE
+    if 0.5 <= ratio < 1:
+        assert fallbacks > 0
+
+
+def test_scan_validity_matches_build_pair_near_the_gates():
+    """At shifts where a commutation residual or leak sits within 10x of its
+    threshold rel_threshold(||c||, ||T - lam||), the scan's exact gates and
+    build_pair's bracketed ones give the same validity."""
+    near = 0
+    for H, T, partition in _near_gate_pairs()[:2]:
+        eye = np.eye(H.shape[0])
+        magnitudes = np.logspace(-1, 3, 41)
+        grid = list(magnitudes) + list(-magnitudes) + list(1j * magnitudes[::4])
+        result = spectral_scan(H, T, partition, grid)
+        for lam, valid in zip(grid, result.pair_valid):
+            gates = _exact_gates(H - lam * eye, T - lam * eye, partition)
+            ratios = [r / (1e-9 * scale) for _, r, scale in gates if r > 0]
+            near += any(0.1 <= q <= 10 for q in ratios)
+            shifted = (H - lam * eye, T - lam * eye, partition, Tolerances())
+            assert valid == isinstance(_outcome(*shifted), dict), lam
+            if _exact_outcome(*shifted) is not None:
+                assert not valid
+        assert True in result.pair_valid and False in result.pair_valid
+    assert near >= 50
