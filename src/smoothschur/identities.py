@@ -4,6 +4,8 @@ The six basic identities relate H, F, Q, Q_sharp and the zero-extended
 inverses; they hold for every valid pair, Hermitian partition or not.  Each
 residual is normalized by 1 + the product of the factor norms so reports are
 comparable across wildly scaled instances, and its gate is residual_rel.
+verify_basics forms each difference only when its gate runs, so one
+identity's matrices are alive at a time.
 
 The residual recorded is the number the verdict was decided on (see
 operator_core.norm_gate): almost always the upper bound ||D||_F / (1 + the
@@ -53,15 +55,15 @@ def verify_basics(
 
     report = ResidualReport()
     checks = [
-        ("basics/left_annihilator", G @ H, eye - Q @ chi, (G, H)),
-        ("basics/right_annihilator", H @ G, eye - chi @ Qs, (H, G)),
-        ("basics/left_effective", Tb @ F, eye - chi @ Q, (Tb, F)),
-        ("basics/right_effective", F @ Tb, eye - Qs @ chi, (F, Tb)),
-        ("basics/intertwine_left", H @ Q, chi @ F, (H, Q)),
-        ("basics/intertwine_right", Qs @ H, F @ chi, (Qs, H)),
+        ("basics/left_annihilator", lambda: G @ H - (eye - Q @ chi), (G, H)),
+        ("basics/right_annihilator", lambda: H @ G - (eye - chi @ Qs), (H, G)),
+        ("basics/left_effective", lambda: Tb @ F - (eye - chi @ Q), (Tb, F)),
+        ("basics/right_effective", lambda: F @ Tb - (eye - Qs @ chi), (F, Tb)),
+        ("basics/intertwine_left", lambda: H @ Q - chi @ F, (H, Q)),
+        ("basics/intertwine_right", lambda: Qs @ H - F @ chi, (Qs, H)),
     ]
-    for label, lhs, rhs, factors in checks:
-        report.add(label, *_rel_residual(lhs - rhs, factors, tol))
+    for label, diff, factors in checks:
+        report.add(label, *_rel_residual(diff(), factors, tol))
     return report
 
 

@@ -1,10 +1,11 @@
 """Seeded random instance generation for tests, fuzzing, and the CLI.
 
 Every instance is built from a single generator matrix: the partition and the
-reference operator T are both functions of it, so commutation holds by
-construction.  H = T + W with W a random complex perturbation scaled relative
-to ||T||.  Draws that produce an ill-conditioned dressed block are rejected
-and redrawn (deterministically, from the same stream).
+reference operator T are both functions of it, taken from one decomposition
+of it, so commutation holds by construction.  H = T + W with W a random
+complex perturbation scaled relative to ||T||.  Draws that produce an
+ill-conditioned dressed block are rejected and redrawn (deterministically,
+from the same stream); the pair built to judge a draw takes no SVD of chi.
 """
 from __future__ import annotations
 
@@ -15,14 +16,7 @@ import numpy as np
 from .errors import InstanceSpecError, SmoothSchurError
 from .operator_core import DEFAULT_TOL, Tolerances, op_norm
 from .pairs import FeshbachPair, build_pair
-from .partition import (
-    Partition,
-    make_commuting_T,
-    make_nonselfadjoint,
-    make_sharp,
-    make_smooth_selfadjoint,
-    smoothstep,
-)
+from .partition import Partition, _angle_partition, _decompose, _smooth_partition, make_sharp, smoothstep
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
 
@@ -100,9 +94,8 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
         U = random_unitary(rng, n)
         Hf = (U * rng.uniform(0.1, 0.9, n)) @ U.conj().T
         Hf = (Hf + Hf.conj().T) / 2
-        partition = make_smooth_selfadjoint(Hf, smoothstep, tol)
-        T = make_commuting_T(Hf, lambda w: w + 1.2 + 0.3j, tol)
-        return partition, T
+        gen = _decompose(Hf, tol, hermitian=True)
+        return _smooth_partition(gen, smoothstep, tol), gen(lambda w: w + 1.2 + 0.3j)
     # nonselfadjoint
     U = random_unitary(rng, n)
     R = _crandn(rng, n, n)
@@ -110,9 +103,8 @@ def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
     V = U @ (np.eye(n) + 0.3 * R)
     a = rng.uniform(0.3, 1.2, n) + 0.1j * rng.uniform(-1.0, 1.0, n)
     A = (V * a) @ np.linalg.inv(V)
-    partition = make_nonselfadjoint(A, lambda w: w, tol)
-    T = make_commuting_T(A, lambda w: w + 1.2, tol)
-    return partition, T
+    gen = _decompose(A, tol)
+    return _angle_partition(gen, lambda w: w, tol), gen(lambda w: w + 1.2)
 
 
 def _well_conditioned(pair: FeshbachPair) -> bool:

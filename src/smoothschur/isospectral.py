@@ -29,8 +29,10 @@ from .operator_core import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _kernel_basis,
     _rank_cutoff,
     as_matrix,
+    column_space,
     kernel_basis,
     op_norm,
     rel_threshold,
@@ -94,10 +96,11 @@ def invert_F_via_H(
 
         F^{-1} = chi H^{-1} chi + chibar T^{-1} chibar.
 
-    Raises OperatorSingularError when H is numerically singular.
+    Raises OperatorSingularError when H is numerically singular, decided
+    from the pair's singular values of H.
     """
     H = pair.H
-    s = np.linalg.svd(H, compute_uv=False)
+    s = pair.H_singular_values
     cutoff = _rank_cutoff(s, H.shape, tol)
     if s[-1] <= cutoff:
         raise OperatorSingularError(
@@ -146,10 +149,11 @@ def kernel_correspondence(
     back, each residual within _KERNEL_THRESHOLD.
 
     ker F is computed inside ran(chi): vectors v = C c with F C c = 0, C the
-    orthonormal basis of pair.ran_chi.
+    orthonormal basis of pair.ran_chi.  ker H is decided from the pair's
+    singular values of H.
     """
     chi, Q = pair.chi, data.Q
-    ker_H = kernel_basis(pair.H, tol)
+    ker_H = _kernel_basis(pair.H, pair.H_singular_values, tol)
 
     C = pair.ran_chi.basis
     coeffs = kernel_basis(data.F @ C, tol)
@@ -314,10 +318,11 @@ class _ShiftedScan:
         self.blocks = (fixed.T_block, fixed.K)
         self.gram_B = B.conj().T @ B
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
-        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
+        C = column_space(partition.chi, tol).basis
+        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition, C)
         self.tol = tol
         self.n = partition.dim
-        k, m = B.shape[1], fixed.ran_chi.dim
+        k, m = B.shape[1], C.shape[1]
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
@@ -488,8 +493,8 @@ def iterated_reduction(H, T, partitions, tol: Tolerances = DEFAULT_TOL):
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
-        F0, L, R, _ = _compressed_map(pair, partition)
         C = pair.ran_chi.basis
+        F0, L, R, _ = _compressed_map(pair, partition, C)
         H_k = F0 - L @ np.linalg.solve(pair.K, R)
         T_k = C.conj().T @ pair.T @ C
         stages.append((H_k, m))

@@ -260,8 +260,14 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return Subspace(cols, np.eye(cols, dtype=complex))
-    if rows >= cols:
-        s = np.linalg.svd(A, compute_uv=False)
+    return _kernel_basis(A, np.linalg.svd(A, compute_uv=False) if rows >= cols else None, tol)
+
+
+def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances) -> Subspace:
+    """kernel_basis of a nonempty A, given its singular values s when it has
+    rows >= cols (None otherwise)."""
+    cols = A.shape[1]
+    if s is not None:
         rho = _CERT_ROUNDING * max(A.shape) * np.finfo(float).eps
         if s[-1] - _rank_cutoff(s, A.shape, tol) > rho * s[0]:
             return Subspace.empty(cols)

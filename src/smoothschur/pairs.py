@@ -14,10 +14,11 @@ Given a valid pair, the map and its auxiliary operators are
 
 with H_chi = T + chi*W*chi.  The pair keeps T and H_chibar on ran(chibar) as
 k x k blocks in the coordinates of its orthonormal basis B, and the map
-solves against the block K = B*H_chibar B; the zero-extended n x n inverses
-are built only when read.  The pair also keeps ran(chi), and _compressed_map
-gives the blocks of F compressed to it, which the spectral scan and the
-iterated reduction read.
+solves against the block K = B*H_chibar B.  What only some callers read is
+built on first read and kept: the zero-extended n x n inverses, ran(chi)
+(an SVD of chi), the singular values of H and the coupling norm
+||chibar W T^-1 chibar||.  _compressed_map gives the blocks of F compressed
+to ran(chi), which the spectral scan and the iterated reduction read.
 
 The commutation gates of (a) and the leak gates of (b) are decided by
 operator_core.rel_gate from norm brackets: the evidence records an upper
@@ -71,7 +72,6 @@ class _ShiftInvariants(NamedTuple):
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
-    ran_chi: Subspace
     commutation: tuple  # c T - T c for c = chi, chibar
     T_block: np.ndarray  # B*TB
     T_leak: np.ndarray  # (1 - BB*) T B
@@ -80,8 +80,8 @@ class _ShiftInvariants(NamedTuple):
 
 
 def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
-    """W, H_chi, H_chibar, ran(chibar), ran(chi), the commutation residuals,
-    and the compressions of T and H_chibar to ran(chibar) with their leak
+    """W, H_chi, H_chibar, ran(chibar), the commutation residuals, and the
+    compressions of T and H_chibar to ran(chibar) with their leak
     residuals.
 
     Raises BlockInvertibilityError when ran(chibar) is numerically empty.
@@ -102,7 +102,7 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
             f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
         )
     return _ShiftInvariants(
-        W, T + chi @ W @ chi, H_chibar, ran_chibar, column_space(chi, tol),
+        W, T + chi @ W @ chi, H_chibar, ran_chibar,
         tuple(c @ T - T @ c for c in (chi, chibar)),
         *_compress(T, ran_chibar), *_compress(H_chibar, ran_chibar),
     )
@@ -110,7 +110,10 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
 
 @dataclass(frozen=True)
 class FeshbachPair:
-    """A validated pair (H, T) for a partition, with derived operators."""
+    """A validated pair (H, T) for a partition, with derived operators.
+
+    tol is the policy the pair was validated with; ran_chi takes its rank
+    cutoff from it."""
 
     H: np.ndarray
     T: np.ndarray
@@ -119,11 +122,11 @@ class FeshbachPair:
     H_chi: np.ndarray
     H_chibar: np.ndarray
     ran_chibar: Subspace
-    ran_chi: Subspace
     T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
     K: np.ndarray  # B*H_chibar B
     block_svs: dict  # "T" / "H_chibar" -> (smallest sv, largest sv) of its block
     evidence: ResidualReport
+    tol: Tolerances
 
     @property
     def dim(self) -> int:
@@ -146,6 +149,21 @@ class FeshbachPair:
     def H_chibar_inv(self) -> np.ndarray:
         """H_chibar^{-1} on ran(chibar), extended by zero off it."""
         return self.ran_chibar.zero_extended_inverse(self.K)
+
+    @cached_property
+    def ran_chi(self) -> Subspace:
+        """The numerical column space of chi, at the pair's rank cutoff."""
+        return column_space(self.chi, self.tol)
+
+    @cached_property
+    def H_singular_values(self) -> np.ndarray:
+        """The singular values of H, largest first."""
+        return np.linalg.svd(self.H, compute_uv=False)
+
+    @cached_property
+    def coupling_norm(self) -> float:
+        """||chibar W T^-1 chibar||, with T^-1 taken on ran(chibar)."""
+        return op_norm(self.chibar @ self.W @ self.T_inv_bar @ self.chibar)
 
 
 @dataclass(frozen=True)
@@ -199,12 +217,12 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
 
     return FeshbachPair(
         H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
-        ran_chibar=fixed.ran_chibar, ran_chi=fixed.ran_chi, T_block=fixed.T_block, K=fixed.K,
-        block_svs=block_svs, evidence=evidence,
+        ran_chibar=fixed.ran_chibar, T_block=fixed.T_block, K=fixed.K, block_svs=block_svs,
+        evidence=evidence, tol=tol,
     )
 
 
-def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
+def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition, C: np.ndarray):
     """The blocks (F0, L, R, C*C) of F compressed to ran(chi), for a pair or
     its _ShiftInvariants p, C the basis of ran(chi) and B that of ran(chibar):
 
@@ -214,7 +232,7 @@ def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
     A common shift lam of H and T moves F0 by -lam C*C and K by -lam B*B.
     """
     chi, chibar, W = partition.chi, partition.chibar, p.W
-    B, C = p.ran_chibar.basis, p.ran_chi.basis
+    B = p.ran_chibar.basis
     Ch = C.conj().T
     return Ch @ p.H_chi @ C, Ch @ chi @ W @ chibar @ B, B.conj().T @ chibar @ W @ chi @ C, Ch @ C
 
@@ -242,15 +260,16 @@ def sufficient_conditions(pair: FeshbachPair) -> ResidualReport:
     """Report the checkable sufficient conditions for pair validity.
 
     The two coupling norms ||T^{-1} chibar W chibar|| and
-    ||chibar W T^{-1} chibar|| are checked against 1 (the commutation
-    residuals are in pair.evidence).  These conditions are sufficient, not
-    necessary: a pair that passed direct validation may still fail them.
+    ||chibar W T^{-1} chibar|| (pair.coupling_norm, which neumann_inverse
+    reads too) are checked against 1 (the commutation residuals are in
+    pair.evidence).  These conditions are sufficient, not necessary: a pair
+    that passed direct validation may still fail them.
     """
     chibar, W = pair.chibar, pair.W
     report = ResidualReport()
     Tib = pair.T_inv_bar
     left = op_norm(Tib @ chibar @ W @ chibar)
-    right = op_norm(chibar @ W @ Tib @ chibar)
+    right = pair.coupling_norm
     report.add("sufficient/contraction_left", left, 1.0, note="||T^-1 chibar W chibar|| < 1")
     report.add("sufficient/contraction_right", right, 1.0, note="||chibar W T^-1 chibar|| < 1")
     return report
@@ -272,14 +291,14 @@ def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
     T^{-1} * sum_n (-chibar W T^{-1} chibar)^n, truncated once the term norm
     falls to NEUMANN_TOL or after max_terms terms (then flagged truncated).
     Each term's norm is decided against NEUMANN_TOL by norm_exceeds.
-    Raises ContractionError when the coupling norm is >= 1.
+    Raises ContractionError when the coupling norm pair.coupling_norm is >= 1.
     """
+    q = pair.coupling_norm
+    if q >= 1.0:
+        raise ContractionError(q)
     chibar, W = pair.chibar, pair.W
     Tib = pair.T_inv_bar
     M = chibar @ W @ Tib @ chibar
-    q = op_norm(M)
-    if q >= 1.0:
-        raise ContractionError(q)
 
     total = term = np.eye(pair.dim, dtype=complex)
     terms_used, truncated = 1, False

@@ -6,11 +6,16 @@ non-Hermitian partitions built as sin/cos of a function of a diagonalizable
 generator (sin^2 + cos^2 = 1 is an entire identity, valid for complex
 arguments).  A companion constructor builds reference operators T as
 functions of the same generator so commutation holds by construction.
+
+Every function of a generator comes from one _Decomposition of it: the
+Hermitian test runs once, then eigh, or eig with one condition number and
+one inverse of the eigenvectors.  chi and chibar share it, and instance
+generation shares it with T as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,18 +57,45 @@ def _hermitian_residual(A: np.ndarray, tol: Tolerances):
     return rel_gate(A - A.conj().T, (A,), tol)
 
 
-def _eigh_function(A: np.ndarray, f: Callable) -> np.ndarray:
-    w, v = np.linalg.eigh(A)
-    return (v * np.asarray(f(w))) @ v.conj().T
+class _Decomposition(NamedTuple):
+    """A diagonalization A = V diag(w) V^-1 of a generator, with V^-1 taken
+    once (V^H when A is Hermitian).  Calling it with f gives f(A), so any
+    number of functions of A share one decomposition."""
+
+    w: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
+
+    def __call__(self, f: Callable) -> np.ndarray:
+        return (self.V * np.asarray(f(self.w))) @ self.V_inv
+
+
+def _decompose(A: np.ndarray, tol: Tolerances, hermitian: bool = False) -> _Decomposition:
+    """Diagonalize A after one Hermitian test: eigh when A passes it, else
+    eig with the condition number of its eigenvectors gated.
+
+    hermitian=True raises NotHermitianError where A fails the test; otherwise
+    NotDiagonalizableError is raised when the eigenvector matrix is too
+    ill-conditioned for the functional calculus to be trustworthy.
+    """
+    residual, threshold, _ = _hermitian_residual(A, tol)
+    if residual <= threshold:
+        w, V = np.linalg.eigh(A)
+        return _Decomposition(w, V, V.conj().T)
+    if hermitian:
+        raise NotHermitianError(f"Hermitian residual {residual:.3e} > {threshold:.3e}")
+    w, V = np.linalg.eig(A)
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > MAX_EIGVEC_COND:
+        raise NotDiagonalizableError(
+            f"eigenvector matrix condition number {cond:.3e} exceeds {MAX_EIGVEC_COND:.1e}"
+        )
+    return _Decomposition(w, V, np.linalg.inv(V))
 
 
 def hermitian_function(Hf, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """f(Hf) for Hermitian Hf via the spectral theorem."""
-    A = as_matrix(Hf)
-    residual, threshold, _ = _hermitian_residual(A, tol)
-    if residual > threshold:
-        raise NotHermitianError(f"Hermitian residual {residual:.3e} > {threshold:.3e}")
-    return _eigh_function(A, f)
+    return _decompose(as_matrix(Hf), tol, hermitian=True)(f)
 
 
 def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -73,17 +105,7 @@ def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     Rejects generators whose eigenvector matrix is too ill-conditioned for
     the functional calculus to be trustworthy.
     """
-    A = as_matrix(A)
-    residual, threshold, _ = _hermitian_residual(A, tol)
-    if residual <= threshold:
-        return _eigh_function(A, f)
-    w, v = np.linalg.eig(A)
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > MAX_EIGVEC_COND:
-        raise NotDiagonalizableError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds {MAX_EIGVEC_COND:.1e}"
-        )
-    return (v * np.asarray(f(w))) @ np.linalg.inv(v)
+    return _decompose(as_matrix(A), tol)(f)
 
 
 @dataclass(frozen=True)
@@ -153,25 +175,31 @@ def make_sharp(P, tol: Tolerances = DEFAULT_TOL) -> Partition:
     return validate_partition(P, np.eye(n) - P, tol)
 
 
+def _smooth_partition(gen: _Decomposition, f: Callable, tol: Tolerances) -> Partition:
+    """chi = f(A), chibar = sqrt(1 - f^2)(A) from one decomposition of A."""
+    def fbar(w):
+        vals = np.asarray(f(w), dtype=float)
+        return np.sqrt(np.clip(1.0 - vals * vals, 0.0, None))
+
+    return validate_partition(gen(f), gen(fbar), tol)
+
+
 def make_smooth_selfadjoint(Hf, f: Callable, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Hermitian partition chi = f(Hf), chibar = sqrt(1 - f^2)(Hf).
 
     f must take values in [0, 1] on the spectrum of the Hermitian generator.
     """
-    def fbar(w):
-        vals = np.asarray(f(w), dtype=float)
-        return np.sqrt(np.clip(1.0 - vals * vals, 0.0, None))
+    return _smooth_partition(_decompose(as_matrix(Hf), tol, hermitian=True), f, tol)
 
-    chi = hermitian_function(Hf, f, tol)
-    chibar = hermitian_function(Hf, fbar, tol)
-    return validate_partition(chi, chibar, tol)
+
+def _angle_partition(gen: _Decomposition, theta: Callable, tol: Tolerances) -> Partition:
+    """chi = sin(theta(A)), chibar = cos(theta(A)) from one decomposition of A."""
+    return validate_partition(gen(lambda w: np.sin(theta(w))), gen(lambda w: np.cos(theta(w))), tol)
 
 
 def make_nonselfadjoint(A, theta: Callable, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Non-Hermitian partition chi = sin(theta(A)), chibar = cos(theta(A))."""
-    chi = matrix_function(A, lambda w: np.sin(theta(w)), tol)
-    chibar = matrix_function(A, lambda w: np.cos(theta(w)), tol)
-    return validate_partition(chi, chibar, tol)
+    return _angle_partition(_decompose(as_matrix(A), tol), theta, tol)
 
 
 def make_commuting_T(generator, g: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

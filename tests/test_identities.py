@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,23 @@ def test_randomized_all_kinds():
         assert verify_basics(pair, data).passed
         assert verify_resolvent(pair).passed
         assert verify_alt_remark(pair, data).passed
+
+
+def test_basics_keep_one_identity_alive_at_a_time():
+    n = 64
+    inst = generate(InstanceSpec(dim=n, partition_kind="nonselfadjoint", perturbation_scale=0.1,
+                                 seed=derived_seed(3, n)))
+    pair = build_pair(inst.H, inst.T, inst.partition)
+    data = feshbach_map(pair)
+    pair.T_inv_bar, pair.H_chibar_inv  # built before, so the peak is verify_basics' own
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_basics(pair, data).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * n * n
 
 
 def test_alt_range_containment_sharp():

@@ -32,7 +32,9 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
-from smoothschur.isospectral import _grid_resolution
+from smoothschur.isospectral import _ShiftedScan, _grid_resolution
+from smoothschur.operator_core import _kernel_basis
+from smoothschur.pairs import _compressed_map
 
 from conftest import crandn
 
@@ -172,6 +174,30 @@ class TestKernelCorrespondence:
             assert kc.dim_ker_H == kc.dim_ker_F == kd
             assert kc.roundtrip_residual <= 1e-8
             assert kc.passed
+
+    def test_H_singular_values_taken_once_per_pair(self, monkeypatch):
+        spec = InstanceSpec(dim=12, partition_kind="nonselfadjoint", perturbation_scale=0.2,
+                            seed=derived_seed(71, 12))
+        for inst in (generate(spec), generate_singular(spec, 2)):
+            pair = build_pair(inst.H, inst.T, inst.partition)
+            data = feshbach_map(pair)
+            svd, of_H = np.linalg.svd, []
+
+            def recording(A, *args, **kwargs):
+                of_H.append(A is pair.H and not kwargs.get("compute_uv", True))
+                return svd(A, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", recording)
+            kc = kernel_correspondence(pair, data)
+            try:
+                invert_F_via_H(pair, data, Subspace.full(spec.dim))
+            except OperatorSingularError:
+                assert kc.dim_ker_H == 2
+            monkeypatch.undo()
+            assert of_H.count(True) == 1
+            assert np.array_equal(
+                _kernel_basis(pair.H, pair.H_singular_values, Tolerances()).basis, kernel_basis(pair.H).basis
+            )
 
     def test_residuals_match_per_vector_loop(self):
         # a perturbed Q makes the Q-map and roundtrip residuals O(0.1), a
@@ -382,6 +408,15 @@ class TestSpectralScan:
         assert any(0.1 <= m <= 10 for m in margins)
         assert any(m < 0.1 for m in margins)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_are_the_pairs_compressed_map(self, kind):
+        H, T, partition, _ = _reference_instance(kind, 8)
+        pair = build_pair(H, T, partition)
+        scan = _ShiftedScan(H, T, partition, Tolerances())
+        want = _compressed_map(pair, partition, pair.ran_chi.basis)
+        for got, block in zip((scan.F0, scan.left, scan.right, scan.gram_C), want):
+            assert np.array_equal(got, block)
+
     def test_certificate_spares_block_svds(self, stacked_svds):
         # away from every chibar-block eigenvalue the eigenvector certificate
         # decides both rank-cutoff tests, so F_c is the only SVD per point
@@ -566,6 +601,19 @@ class TestIteratedReduction:
         assert [d for _, d in stages] == [d for _, d in reference]
         for (got, _), (want, _) in zip(stages, reference):
             assert op_norm(got - want) <= 1e-12 * (1 + op_norm(want))
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_stages_are_the_compressed_map_of_ran_chi(self, n):
+        # bitwise: each stage reads ran(chi) from the column space of chi
+        H = self._diag_dominant(np.random.default_rng(derived_seed(101, n)), n)
+        T, parts = np.diag(np.diagonal(H)), halving_partitions(n, 2)
+        stages = iterated_reduction(H, T, parts)
+        for (got, m), partition in zip(stages, parts):
+            pair = build_pair(H, T, partition)
+            C = column_space(partition.chi).basis
+            F0, L, R, _ = _compressed_map(pair, partition, C)
+            H, T = F0 - L @ np.linalg.solve(pair.K, R), C.conj().T @ pair.T @ C
+            assert m == C.shape[1] and np.array_equal(got, H)
 
     def test_partition_dim_mismatch_rejected(self):
         # the second halving partition is for dim 4, but stage 0 leaves dim 2

@@ -24,6 +24,7 @@ from smoothschur import (
     verify_resolvent,
     worked_2x2,
 )
+from smoothschur import pairs as pairs_module
 from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate
 from smoothschur.errors import SubspaceLeakError
 from smoothschur.operator_core import BOUND_NOTE, rel_threshold
@@ -76,6 +77,22 @@ class TestBuildPair:
         inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(43, 8)))
         pair = build_pair(inst.H, inst.T, inst.partition)
         assert np.array_equal(pair.ran_chi.basis, column_space(pair.chi).basis)
+
+    def test_ran_chi_built_only_when_read(self, monkeypatch):
+        taken = []
+
+        def recording(M, tol):
+            taken.append(M)
+            return column_space(M, tol)
+
+        inst = generate(InstanceSpec(dim=8, partition_kind="nonselfadjoint", seed=derived_seed(43, 8)))
+        monkeypatch.setattr(pairs_module, "column_space", recording)
+        tol = Tolerances(rank_rel=1e-9)
+        pair = build_pair(inst.H, inst.T, inst.partition, tol)
+        assert [M is pair.chibar for M in taken] == [True]
+        assert pair.ran_chi is pair.ran_chi
+        assert [M is pair.chi for M in taken] == [False, True]
+        assert np.array_equal(pair.ran_chi.basis, column_space(pair.chi, tol).basis)
 
     @pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
     def test_pair_evidence_has_no_placeholder(self, kind):
@@ -233,8 +250,23 @@ class TestNeumannInverse:
         T = np.diag([2.0, 2.0]).astype(complex)
         W = np.diag([0.0, 3.0]).astype(complex)  # contraction norm 1.5
         pair = build_pair(T + W, T, part)
-        with pytest.raises(ContractionError):
+        with pytest.raises(ContractionError) as exc:
             neumann_inverse(pair)
+        right = sufficient_conditions(build_pair(T + W, T, part))["sufficient/contraction_right"]
+        assert exc.value.norm == right.residual == 1.5
+
+    def test_reads_the_coupling_norm_of_sufficient_conditions(self):
+        inst = generate(InstanceSpec(dim=8, partition_kind="smooth", perturbation_scale=0.1,
+                                     seed=derived_seed(31, 8)))
+        pair = build_pair(inst.H, inst.T, inst.partition)
+        right = sufficient_conditions(pair)["sufficient/contraction_right"].residual
+        assert right == op_norm(pair.chibar @ pair.W @ pair.T_inv_bar @ pair.chibar)
+        assert right == pair.coupling_norm < 1.0
+        neumann_inverse(pair)
+        vars(pair)["coupling_norm"] = 1.5  # the series takes q from the pair
+        with pytest.raises(ContractionError) as exc:
+            neumann_inverse(pair)
+        assert exc.value.norm == 1.5
 
     def test_truncation_flag(self):
         part = make_sharp(np.diag([1.0, 0.0]))

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from smoothschur import instances as instances_module
 from smoothschur import partition as partition_module
 from smoothschur import (
     NotDiagonalizableError,
@@ -17,7 +20,9 @@ from smoothschur import (
     validate_partition,
 )
 
-from conftest import crandn
+from smoothschur.instances import InstanceSpec, derived_seed, generate
+
+from conftest import KINDS, crandn
 
 
 class TestValidatePartition:
@@ -186,6 +191,66 @@ def test_matrix_function_tests_hermitian_once(monkeypatch):
 def test_hermitian_function_rejects_non_hermitian():
     with pytest.raises(NotHermitianError, match="Hermitian residual"):
         partition_module.hermitian_function(np.array([[0.0, 1.0], [0.0, 0.0]]), np.exp)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (partition_module.hermitian_function, NotHermitianError, r"Hermitian residual \S+ > \S+"),
+        (make_smooth_selfadjoint, NotHermitianError, r"Hermitian residual \S+ > \S+"),
+        (matrix_function, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
+        (make_nonselfadjoint, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
+        (make_commuting_T, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
+    ],
+)
+def test_generator_errors_keep_their_messages(build, error, message):
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor diagonalizable
+    with pytest.raises(error) as exc:
+        build(jordan, lambda w: 0.5 + 0 * w)
+    assert re.fullmatch(message, str(exc.value))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generation_decomposes_each_generator_once(monkeypatch, kind):
+    counts = dict.fromkeys(("eig", "eigh", "cond"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    generate(InstanceSpec(dim=8, partition_kind=kind, perturbation_scale=0.1, seed=derived_seed(5, 8)))
+    nonselfadjoint = kind == "nonselfadjoint"
+    assert counts == {"eig": int(nonselfadjoint), "eigh": int(kind == "smooth"), "cond": int(nonselfadjoint)}
+
+
+@pytest.mark.parametrize("kind", ["smooth", "nonselfadjoint"])
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_generated_operators_match_separate_function_calls(monkeypatch, kind, n):
+    generators = []
+    decompose = instances_module._decompose
+
+    def recording(A, *args, **kwargs):
+        generators.append(A)
+        return decompose(A, *args, **kwargs)
+
+    monkeypatch.setattr(instances_module, "_decompose", recording)
+    inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=0.1, seed=derived_seed(7, n)))
+    (A,) = generators
+    if kind == "smooth":
+        fbar = lambda w: np.sqrt(np.clip(1.0 - smoothstep(w) ** 2, 0.0, None))  # noqa: E731
+        chi = partition_module.hermitian_function(A, smoothstep)
+        chibar = partition_module.hermitian_function(A, fbar)
+        T = make_commuting_T(A, lambda w: w + 1.2 + 0.3j)
+        public = make_smooth_selfadjoint(A, smoothstep)
+    else:
+        chi = matrix_function(A, np.sin)
+        chibar = matrix_function(A, np.cos)
+        T = make_commuting_T(A, lambda w: w + 1.2)
+        public = make_nonselfadjoint(A, lambda w: w)
+    for got, want in ((inst.partition.chi, chi), (inst.partition.chibar, chibar), (inst.T, T),
+                      (public.chi, chi), (public.chibar, chibar)):
+        assert np.array_equal(got, want)
 
 
 def test_smoothstep_shape():
