@@ -46,13 +46,13 @@ def _tolerances(args) -> Tolerances:
 
 
 def _load_instance_dir(directory: Path) -> dict:
-    mats = {}
-    for name in MATRIX_FILES:
-        mats[name] = read_matrix(directory / f"{name}.json")
+    mats = {name: read_matrix(directory / f"{name}.json") for name in MATRIX_FILES}
     dims = {name: m.shape for name, m in mats.items()}
-    sizes = set(dims.values())
-    if len(sizes) != 1:
+    if len(set(dims.values())) != 1:
         raise MatrixFileError(f"{directory}: inconsistent matrix shapes {dims}")
+    rows, cols = dims["H"]
+    if rows != cols:
+        raise MatrixFileError(f"{directory}: matrices must be square, got {rows}x{cols}")
     return mats
 
 
@@ -76,19 +76,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_instance(H, T, partition: Partition, tol: Tolerances):
+def _check_instance(H, T, partition: Partition):
     """The `check` report as a JSON-ready dict, and its ResidualReports by name."""
-    pair = build_pair(H, T, partition, tol)
+    pair = build_pair(H, T, partition)
     data = feshbach_map(pair)
 
     reports = {
         "pair": pair.evidence,
         "sufficient": sufficient_conditions(pair),
-        "basics": verify_basics(pair, data, tol),
-        "resolvent": verify_resolvent(pair, tol),
-        "alt": verify_alt_remark(pair, data, tol),
+        "basics": verify_basics(pair, data),
+        "resolvent": verify_resolvent(pair),
+        "alt": verify_alt_remark(pair, data),
     }
-    kernel = kernel_correspondence(pair, data, tol)
+    kernel = kernel_correspondence(pair, data)
 
     failures = []
     for name, report in reports.items():
@@ -100,7 +100,7 @@ def _check_instance(H, T, partition: Partition, tol: Tolerances):
 
     return {
         "schema": SCHEMA,
-        "tolerances": asdict(tol),
+        "tolerances": asdict(partition.tol),
         "reports": {name: report.to_dict() for name, report in reports.items()},
         "kernel": kernel.to_dict(),
         "summary": {"pass": not failures, "failures": sorted(failures)},
@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
     mats = _load_instance_dir(args.instance)
     started = time.perf_counter()
     partition = validate_partition(mats["chi"], mats["chibar"], tol)
-    result, reports = _check_instance(mats["H"], mats["T"], partition, tol)
+    result, reports = _check_instance(mats["H"], mats["T"], partition)
     elapsed = time.perf_counter() - started
 
     for name, report in reports.items():
@@ -144,7 +144,7 @@ def cmd_scan(args) -> int:
     ims = np.linspace(args.im_min, args.im_max, args.im_count)
     grid = [complex(r, i) for i in ims for r in res]
 
-    result = spectral_scan(mats["H"], mats["T"], partition, grid, tol)
+    result = spectral_scan(mats["H"], mats["T"], partition, grid)
 
     lines = ["re_lambda,im_lambda,smallest_sv,pair_valid"]
     for lam, sv, ok in zip(result.grid, result.f_smallest_sv, result.pair_valid):
@@ -178,7 +178,7 @@ def cmd_reduce(args) -> int:
     partitions = halving_partitions(n, args.stages, tol)
     if not partitions:
         raise InstanceSpecError(f"reduce needs --stages >= 1 and dim >= 2, got --stages {args.stages} on dim {n}")
-    stages = iterated_reduction(H, T, partitions, tol)
+    stages = iterated_reduction(H, T, partitions)
 
     dims = [n] + [d for _, d in stages]
     final, final_dim = stages[-1]
@@ -224,7 +224,7 @@ def cmd_fuzz(args) -> int:
             seed=derived_seed(args.seed, trial),
         )
         inst = generate(spec, tol)
-        result, reports = _check_instance(inst.H, inst.T, inst.partition, tol)
+        result, reports = _check_instance(inst.H, inst.T, inst.partition)
         for report in reports.values():
             for entry in report:
                 worst[entry.label] = max(worst.get(entry.label, 0.0), entry.residual)

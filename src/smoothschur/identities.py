@@ -3,9 +3,9 @@
 The six basic identities relate H, F, Q, Q_sharp and the zero-extended
 inverses; they hold for every valid pair, Hermitian partition or not.  Each
 residual is normalized by 1 + the product of the factor norms so reports are
-comparable across wildly scaled instances, and its gate is residual_rel.
-verify_basics forms each difference only when its gate runs, so one
-identity's matrices are alive at a time.
+comparable across wildly scaled instances, and its gate is residual_rel of
+pair.tol, the partition's Tolerances.  verify_basics forms each difference
+only when its gate runs, so one identity's matrices are alive at a time.
 
 The residual recorded is the number the verdict was decided on (see
 operator_core.norm_gate): almost always the upper bound ||D||_F / (1 + the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operator_core import DEFAULT_TOL, Tolerances, norm_gate
+from .operator_core import Tolerances, norm_gate
 from .pairs import FeshbachData, FeshbachPair
 from .report import ResidualReport
 
@@ -35,9 +35,7 @@ def _rel_residual(diff, factors, tol: Tolerances):
     return norm_gate(diff, factors, gate)
 
 
-def verify_basics(
-    pair: FeshbachPair, data: FeshbachData, tol: Tolerances = DEFAULT_TOL
-) -> ResidualReport:
+def verify_basics(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
     """Check the six basic identities.
 
       left_annihilator   (chibar Hbar^-1 chibar) H  = 1 - Q chi
@@ -63,11 +61,11 @@ def verify_basics(
         ("basics/intertwine_right", lambda: Qs @ H - F @ chi, (Qs, H)),
     ]
     for label, diff, factors in checks:
-        report.add(label, *_rel_residual(diff(), factors, tol))
+        report.add(label, *_rel_residual(diff(), factors, pair.tol))
     return report
 
 
-def verify_resolvent(pair: FeshbachPair, tol: Tolerances = DEFAULT_TOL) -> ResidualReport:
+def verify_resolvent(pair: FeshbachPair) -> ResidualReport:
     """Check chibar (T^-1 - Hbar^-1) chibar = chibar T^-1 W_chibar Hbar^-1 chibar."""
     chibar = pair.chibar
     W_chibar = chibar @ pair.W @ chibar
@@ -75,16 +73,14 @@ def verify_resolvent(pair: FeshbachPair, tol: Tolerances = DEFAULT_TOL) -> Resid
     rhs = chibar @ pair.T_inv_bar @ W_chibar @ pair.H_chibar_inv @ chibar
     factors = (pair.T_inv_bar, W_chibar, pair.H_chibar_inv)
     report = ResidualReport()
-    report.add("resolvent/identity", *_rel_residual(lhs - rhs, factors, tol))
+    report.add("resolvent/identity", *_rel_residual(lhs - rhs, factors, pair.tol))
     return report
 
 
-def verify_alt_remark(
-    pair: FeshbachPair, data: FeshbachData, tol: Tolerances = DEFAULT_TOL
-) -> ResidualReport:
+def verify_alt_remark(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
     """Check chibar^2 F = T (1 - chi Q) and that ran(1 - chi Q) lies in ran(chibar)."""
     chi, chibar, T = pair.chi, pair.chibar, pair.T
-    F, Q = data.F, data.Q
+    F, Q, tol = data.F, data.Q, pair.tol
     eye = np.eye(pair.dim)
     M = eye - chi @ Q
 

@@ -127,7 +127,7 @@ def generate(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> Instance:
             W *= scale / op_norm(W)
         H = T + W
         try:
-            if _well_conditioned(build_pair(H, T, partition, tol)):
+            if _well_conditioned(build_pair(H, T, partition)):
                 return Instance(spec=spec, H=H, T=T, partition=partition)
         except SmoothSchurError:
             pass
@@ -157,7 +157,7 @@ def generate_singular(
         V, _ = np.linalg.qr(_crandn(rng, n, kernel_dim))
         H = base.H @ (np.eye(n) - V @ V.conj().T)
         try:
-            pair = build_pair(H, base.T, base.partition, tol)
+            pair = build_pair(H, base.T, base.partition)
         except SmoothSchurError:
             continue
         if not _well_conditioned(pair):

@@ -5,6 +5,9 @@ H is (numerically) invertible exactly when the effective operator F is
 invertible on an admissible subspace V; the two inverses determine each
 other by explicit formulas, and chi / Q are mutually inverse isomorphisms
 between ker H and ker F restricted to ran(chi).
+
+Every rank cutoff and residual gate here is at the Tolerances of the
+partition in hand (pair.tol for a pair); none of these functions takes one.
 """
 from __future__ import annotations
 
@@ -44,16 +47,14 @@ from .partition import Partition, make_sharp
 from .report import ResidualReport
 
 
-def admissible_subspace_check(
-    pair: FeshbachPair, V: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> ResidualReport:
+def admissible_subspace_check(pair: FeshbachPair, V: Subspace) -> ResidualReport:
     """Check the subspace conditions: ran(chi) inside V, T maps V into V,
     and chibar T^-1 chibar maps V into V.
 
     V = full space and V = ran(chi) always satisfy these for a valid pair.
     """
     report = ResidualReport()
-    chi = pair.chi
+    chi, tol = pair.chi, pair.tol
     P = V.projector()
     eye = np.eye(pair.dim)
 
@@ -69,9 +70,7 @@ def admissible_subspace_check(
     return report
 
 
-def invert_H_via_F(
-    pair: FeshbachPair, data: FeshbachData, V: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def invert_H_via_F(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.ndarray:
     """Reconstruct H^{-1} from the inverse of F on V:
 
         H^{-1} = Q F^{-1} Q_sharp + chibar H_chibar^{-1} chibar.
@@ -80,7 +79,7 @@ def invert_H_via_F(
     which certifies that H itself is singular.
     """
     try:
-        F_inv_V = restricted_inverse(data.F, V, tol)
+        F_inv_V = restricted_inverse(data.F, V, pair.tol)
     except (SubspaceLeakError, SingularRestrictionError) as exc:
         raise EffectiveOperatorSingularError(
             f"effective operator not invertible on V: {exc}"
@@ -89,9 +88,7 @@ def invert_H_via_F(
     return data.Q @ F_inv_V @ data.Q_sharp + chibar @ pair.H_chibar_inv @ chibar
 
 
-def invert_F_via_H(
-    pair: FeshbachPair, data: FeshbachData, V: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.ndarray:
     """Reconstruct the inverse of F on V from H^{-1}:
 
         F^{-1} = chi H^{-1} chi + chibar T^{-1} chibar.
@@ -101,7 +98,7 @@ def invert_F_via_H(
     """
     H = pair.H
     s = pair.H_singular_values
-    cutoff = _rank_cutoff(s, H.shape, tol)
+    cutoff = _rank_cutoff(s, H.shape, pair.tol)
     if s[-1] <= cutoff:
         raise OperatorSingularError(
             f"H numerically singular: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
@@ -142,17 +139,15 @@ def _max_column_norm(X: np.ndarray) -> float:
     return float(np.linalg.norm(X, axis=0).max(initial=0.0))
 
 
-def kernel_correspondence(
-    pair: FeshbachPair, data: FeshbachData, tol: Tolerances = DEFAULT_TOL
-) -> KernelCorrespondence:
+def kernel_correspondence(pair: FeshbachPair, data: FeshbachData) -> KernelCorrespondence:
     """Verify that chi maps ker H onto ker F (within ran chi) and Q maps it
     back, each residual within _KERNEL_THRESHOLD.
 
     ker F is computed inside ran(chi): vectors v = C c with F C c = 0, C the
     orthonormal basis of pair.ran_chi.  ker H is decided from the pair's
-    singular values of H.
+    singular values of H.  Both kernel ranks are cut at pair.tol.
     """
-    chi, Q = pair.chi, data.Q
+    chi, Q, tol = pair.chi, data.Q, pair.tol
     ker_H = _kernel_basis(pair.H, pair.H_singular_values, tol)
 
     C = pair.ran_chi.basis
@@ -302,8 +297,8 @@ class _ShiftedScan:
     ill-conditioned, the SVD decides as before.
     """
 
-    def __init__(self, H, T, partition: Partition, tol: Tolerances):
-        fixed = _shift_invariants(H, T, partition, tol)
+    def __init__(self, H, T, partition: Partition):
+        fixed = _shift_invariants(H, T, partition)
         B = fixed.ran_chibar.basis
         # (operator A, its squared Frobenius norm off the diagonal, which a
         # shift leaves alone, [(residual norm, factor norm)]): each residual
@@ -318,9 +313,9 @@ class _ShiftedScan:
         self.blocks = (fixed.T_block, fixed.K)
         self.gram_B = B.conj().T @ B
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
-        C = column_space(partition.chi, tol).basis
+        self.tol = partition.tol
+        C = column_space(partition.chi, self.tol).basis
         self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition, C)
-        self.tol = tol
         self.n = partition.dim
         k, m = B.shape[1], C.shape[1]
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
@@ -383,7 +378,7 @@ class _ShiftedScan:
         return ok
 
 
-def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TOL) -> ScanResult:
+def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
     record the smallest singular value of F(lambda) compressed to ran(chi).
 
@@ -432,7 +427,7 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
     finite = np.isfinite(lams)
     if not finite.all():
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
-    scan = _ShiftedScan(H, T, partition, tol)
+    scan = _ShiftedScan(H, T, partition)
     svs = np.empty(len(grid))
     valid = np.empty(len(grid), dtype=bool)
     for start in range(0, len(grid), scan.chunk):
@@ -470,10 +465,10 @@ def spectral_scan(H, T, partition: Partition, grid, tol: Tolerances = DEFAULT_TO
     )
 
 
-def iterated_reduction(H, T, partitions, tol: Tolerances = DEFAULT_TOL):
+def iterated_reduction(H, T, partitions):
     """Iteratively compress the problem: at each stage, form the pair for the
-    stage partition and take F compressed to ran(chi), F0 - L K^{-1} R from
-    the pair's blocks, without building the n x n F.
+    stage partition, at its tolerance, and take F compressed to ran(chi),
+    F0 - L K^{-1} R from the pair's blocks, without building the n x n F.
 
     T is carried along by compression, C*TC.  Each partition must match the
     stage's dimension, and its ran(chi) must be a proper subspace, so
@@ -485,7 +480,7 @@ def iterated_reduction(H, T, partitions, tol: Tolerances = DEFAULT_TOL):
     stages = []
     for k, partition in enumerate(partitions):
         try:
-            pair = build_pair(H_k, T_k, partition, tol)
+            pair = build_pair(H_k, T_k, partition)
         except SmoothSchurError as exc:
             raise ReductionStageError(k, exc) from exc
         m = pair.ran_chi.dim

@@ -31,10 +31,12 @@ def matrix_from_dict(obj: dict, source: str = "<dict>") -> np.ndarray:
         if key not in obj:
             raise MatrixFileError(f"{source}: missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not all(type(d) is int and d > 0 for d in (rows, cols)):
         raise MatrixFileError(f"{source}: rows/cols must be positive integers")
     for part in ("re", "im"):
         vals = obj[part]
+        if not isinstance(vals, list):
+            raise MatrixFileError(f"{source}: {part} must be a list, got {type(vals).__name__}")
         if len(vals) != rows * cols:
             raise MatrixFileError(
                 f"{source}: {part} has {len(vals)} entries, expected {rows * cols}"
@@ -42,8 +44,11 @@ def matrix_from_dict(obj: dict, source: str = "<dict>") -> np.ndarray:
         for i, v in enumerate(vals):
             if not isinstance(v, (int, float)) or isinstance(v, bool) or v != v:
                 raise MatrixFileError(f"{source}: non-numeric token in {part!r} at index {i}")
-    re = np.array(obj["re"], dtype=float).reshape(rows, cols)
-    im = np.array(obj["im"], dtype=float).reshape(rows, cols)
+    try:
+        re = np.array(obj["re"], dtype=float).reshape(rows, cols)
+        im = np.array(obj["im"], dtype=float).reshape(rows, cols)
+    except OverflowError:
+        raise MatrixFileError(f"{source}: entry out of float range") from None
     A = re + 1j * im
     if not np.all(np.isfinite(A)):
         raise MatrixFileError(f"{source}: non-finite entry")

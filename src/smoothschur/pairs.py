@@ -27,6 +27,7 @@ bounds of the factor norms, and the exact norms only where the bracket
 leaves the verdict open.  The spectral scan takes the exact norms of the
 same residuals, from _shift_invariants, once per scan.  The pair keeps the
 smallest and largest singular values of each block from its rank test.
+Every gate and rank cutoff is at partition.tol, which pair.tol forwards.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .errors import (
     SubspaceLeakError,
 )
 from .operator_core import (
-    DEFAULT_TOL,
     Subspace,
     Tolerances,
     _compress,
@@ -79,10 +79,10 @@ class _ShiftInvariants(NamedTuple):
     K_leak: np.ndarray  # (1 - BB*) H_chibar B
 
 
-def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInvariants:
+def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
     """W, H_chi, H_chibar, ran(chibar), the commutation residuals, and the
     compressions of T and H_chibar to ran(chibar) with their leak
-    residuals.
+    residuals, at the partition's tolerance.
 
     Raises BlockInvertibilityError when ran(chibar) is numerically empty.
     The rank cutoff of a nonzero operator M is rank_rel ||M|| n, so that
@@ -91,7 +91,7 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
     n = partition.dim
     if H.shape != (n, n) or T.shape != (n, n):
         raise DimensionMismatchError(f"H {H.shape} / T {T.shape} incompatible with partition dim {n}")
-    chi, chibar = partition.chi, partition.chibar
+    chi, chibar, tol = partition.chi, partition.chibar, partition.tol
     W = H - T
     H_chibar = T + chibar @ W @ chibar
     ran_chibar = column_space(chibar, tol)
@@ -110,10 +110,7 @@ def _shift_invariants(H, T, partition: Partition, tol: Tolerances) -> _ShiftInva
 
 @dataclass(frozen=True)
 class FeshbachPair:
-    """A validated pair (H, T) for a partition, with derived operators.
-
-    tol is the policy the pair was validated with; ran_chi takes its rank
-    cutoff from it."""
+    """A validated pair (H, T) for a partition, with derived operators."""
 
     H: np.ndarray
     T: np.ndarray
@@ -126,11 +123,14 @@ class FeshbachPair:
     K: np.ndarray  # B*H_chibar B
     block_svs: dict  # "T" / "H_chibar" -> (smallest sv, largest sv) of its block
     evidence: ResidualReport
-    tol: Tolerances
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @property
+    def tol(self) -> Tolerances:
+        return self.partition.tol
 
     @property
     def chi(self) -> np.ndarray:
@@ -175,8 +175,8 @@ class FeshbachData:
     Q_sharp: np.ndarray
 
 
-def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> FeshbachPair:
-    """Assemble and validate a pair (H, T) for the given partition.
+def build_pair(H, T, partition: Partition) -> FeshbachPair:
+    """Assemble and validate a pair (H, T) for the partition, at partition.tol.
 
     Each commutation and leak gate is decided by rel_gate, so it records the
     upper bound of its residual against a threshold from the lower bounds of
@@ -185,7 +185,8 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
     """
     H = as_matrix(H)
     T = as_matrix(T)
-    fixed = _shift_invariants(H, T, partition, tol)
+    tol = partition.tol
+    fixed = _shift_invariants(H, T, partition)
 
     evidence = ResidualReport()
     evidence.extend(partition.evidence)
@@ -218,7 +219,7 @@ def build_pair(H, T, partition: Partition, tol: Tolerances = DEFAULT_TOL) -> Fes
     return FeshbachPair(
         H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
         ran_chibar=fixed.ran_chibar, T_block=fixed.T_block, K=fixed.K, block_svs=block_svs,
-        evidence=evidence, tol=tol,
+        evidence=evidence,
     )
 
 

@@ -110,11 +110,13 @@ def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
 @dataclass(frozen=True)
 class Partition:
-    """Validated pair of commuting matrices with chi^2 + chibar^2 = 1."""
+    """Validated pair of commuting matrices with chi^2 + chibar^2 = 1, and the
+    Tolerances it was validated with, which everything built on it reads."""
 
     chi: np.ndarray
     chibar: np.ndarray
     evidence: ResidualReport
+    tol: Tolerances
 
     @property
     def dim(self) -> int:
@@ -134,7 +136,7 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
     """Check the partition invariants and return the validated pair.
 
     Invariants: chi and chibar commute, chi^2 + chibar^2 = 1, and neither
-    operator is zero.
+    operator is zero.  The partition keeps tol.
     """
     chi = as_matrix(chi)
     chibar = as_matrix(chibar)
@@ -162,7 +164,7 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
         raise PartitionError(
             "; ".join(f"{e.label}: residual {e.residual:.3e} > {e.threshold:.3e}" for e in failing)
         )
-    return Partition(chi, chibar, evidence)
+    return Partition(chi, chibar, evidence, tol)
 
 
 def make_sharp(P, tol: Tolerances = DEFAULT_TOL) -> Partition:

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from smoothschur import Tolerances, operator_core
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
+
+# every property draws the same examples on every run and keeps no example
+# database, so no run depends on an earlier one
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -3,12 +3,39 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothschur.cli import main
 from smoothschur.errors import MatrixFileError
 from smoothschur.matio import matrix_from_dict, read_matrix, write_matrix
 
 from conftest import crandn
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def _matrix_dicts(draw):
+    """JSON-like dicts: a well-formed matrix dict with some of its keys
+    dropped or replaced, by any JSON value, a small integer, or a list of
+    entries some of which may be ints past float range (valid JSON)."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    obj = {"rows": rows, "cols": cols}
+    for part in ("re", "im"):
+        obj[part] = draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))
+    bad_entries = st.lists(_ENTRY | st.integers(2 * 10**308, 10**400), max_size=9)
+    for key in draw(st.sets(st.sampled_from(sorted(obj)))):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON | st.integers(-1, 3) | bad_entries)
+    return obj
 
 
 class TestMatrixIO:
@@ -35,6 +62,16 @@ class TestMatrixIO:
         obj = {"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]}
         with pytest.raises(MatrixFileError, match="expected 4"):
             matrix_from_dict(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_matrix_dicts())
+    def test_matrix_from_dict_returns_a_matrix_or_raises_matrix_file_error(self, obj):
+        try:
+            A = matrix_from_dict(obj)
+        except MatrixFileError:
+            return
+        assert A.dtype == complex and A.shape == (obj["rows"], obj["cols"])
+        assert np.isfinite(A).all()
 
 
 @pytest.fixture
@@ -92,6 +129,30 @@ class TestCheck:
     def test_corrupt_file_exits_2(self, instance_dir, capsys):
         (instance_dir / "H.json").write_text("{broken")
         assert main(["check", str(instance_dir)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rows": true, "cols": 1, "re": [1.0], "im": [0.0]}', "rows/cols must be positive integers"),
+            ('{"rows": 1, "cols": 1, "re": 1.0, "im": [0.0]}', "re must be a list, got float"),
+            ('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0.0]}', "entry out of float range"),
+        ],
+        ids=["bool-rows", "scalar-re", "400-digit-entry"],
+    )
+    def test_malformed_matrix_exits_2(self, instance_dir, capsys, text, message):
+        (instance_dir / "H.json").write_text(text)
+        assert main(["check", str(instance_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {instance_dir / 'H.json'}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["scan", "--re-min", "0", "--re-max", "1", "--re-count", "2"], ["reduce"]],
+        ids=["check", "scan", "reduce"],
+    )
+    def test_non_square_instance_exits_2(self, tmp_path, capsys, command):
+        for name in ("H", "T", "chi", "chibar"):
+            write_matrix(tmp_path / f"{name}.json", np.ones((2, 3)))
+        assert main([command[0], str(tmp_path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: matrices must be square, got 2x3\n"
 
     def test_missing_dir_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope")]) == 2

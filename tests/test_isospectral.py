@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothschur import (
     BlockInvertibilityError,
@@ -364,7 +366,7 @@ class TestSpectralScan:
     def test_empty_ran_chibar(self):
         inst = worked_2x2()
         with pytest.raises(BlockInvertibilityError, match="numerically empty"):
-            spectral_scan(inst.H, inst.T, inst.partition, [0.0, 1.0], Tolerances(rank_rel=10))
+            spectral_scan(inst.H, inst.T, make_sharp(np.diag([1.0, 0.0]), Tolerances(rank_rel=10)), [0.0, 1.0])
 
     def test_scale_invariance(self, stacked_svds):
         inst = worked_2x2()
@@ -412,7 +414,7 @@ class TestSpectralScan:
     def test_blocks_are_the_pairs_compressed_map(self, kind):
         H, T, partition, _ = _reference_instance(kind, 8)
         pair = build_pair(H, T, partition)
-        scan = _ShiftedScan(H, T, partition, Tolerances())
+        scan = _ShiftedScan(H, T, partition)
         want = _compressed_map(pair, partition, pair.ran_chi.basis)
         for got, block in zip((scan.F0, scan.left, scan.right, scan.gram_C), want):
             assert np.array_equal(got, block)
@@ -502,6 +504,35 @@ class TestSpectralScan:
             if not ok:
                 assert np.isnan(sv)
         return margins
+
+
+@st.composite
+def _shift(draw, H, blocks):
+    """A shift across the spectrum of H, or one 1e-3 to 1e4 rank cutoffs from
+    an eigenvalue of one of the chibar blocks."""
+    if draw(st.booleans()):
+        ev = np.linalg.eigvals(H)
+        return complex(draw(st.floats(ev.real.min() - 1, ev.real.max() + 1)), draw(st.floats(-1, 1)))
+    block = draw(st.sampled_from(blocks))
+    mu = draw(st.sampled_from(list(np.linalg.eigvals(block))))
+    cutoff = 1e-10 * op_norm(block) * block.shape[0]
+    return complex(mu + 10 ** draw(st.floats(-3, 4)) * cutoff * np.exp(1j * draw(st.floats(0, 2 * np.pi))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 8), seed=st.integers(0, 2**32), data=st.data())
+def test_scan_verdict_is_per_point_build_pair(kind, n, seed, data):
+    """pair_valid is whether build_pair(H - lam, T - lam, partition) succeeds,
+    wherever the chibar blocks' margin over their rank cutoffs lies outside
+    [0.1, 10] (within it either verdict is right, as in _reference_point)."""
+    inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=0.3, seed=seed))
+    H, T, partition = inst.H, inst.T, inst.partition
+    lams = data.draw(st.lists(_shift(H, _chibar_blocks(H, T, partition)), min_size=1, max_size=4))
+    result = spectral_scan(H, T, partition, lams)
+    for lam, valid in zip(lams, result.pair_valid):
+        _, ref_ok, _, margin = _reference_point(H, T, partition, lam)
+        if not 0.1 <= margin <= 10:
+            assert valid == ref_ok, (lam, margin)
 
 
 class TestIteratedReduction:

@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,19 @@ from smoothschur import (
     CommutationError,
     ContractionError,
     FeshbachData,
+    FeshbachPair,
+    Partition,
+    ReductionStageError,
     SmoothSchurError,
     Tolerances,
+    admissible_subspace_check,
     build_pair,
     column_space,
     feshbach_map,
+    invert_F_via_H,
+    invert_H_via_F,
+    iterated_reduction,
+    kernel_correspondence,
     make_sharp,
     neumann_inverse,
     op_norm,
@@ -86,9 +97,10 @@ class TestBuildPair:
             return column_space(M, tol)
 
         inst = generate(InstanceSpec(dim=8, partition_kind="nonselfadjoint", seed=derived_seed(43, 8)))
-        monkeypatch.setattr(pairs_module, "column_space", recording)
         tol = Tolerances(rank_rel=1e-9)
-        pair = build_pair(inst.H, inst.T, inst.partition, tol)
+        partition = validate_partition(inst.partition.chi, inst.partition.chibar, tol)
+        monkeypatch.setattr(pairs_module, "column_space", recording)
+        pair = build_pair(inst.H, inst.T, partition)
         assert [M is pair.chibar for M in taken] == [True]
         assert pair.ran_chi is pair.ran_chi
         assert [M is pair.chi for M in taken] == [False, True]
@@ -135,7 +147,7 @@ class TestBuildPair:
         # rank_rel * n >= 1 puts every singular value of chibar at or below the cutoff
         inst = worked_2x2()
         with pytest.raises(BlockInvertibilityError, match="numerically empty"):
-            build_pair(inst.H, inst.T, inst.partition, Tolerances(rank_rel=10))
+            build_pair(inst.H, inst.T, make_sharp(np.diag([1.0, 0.0]), Tolerances(rank_rel=10)))
 
     def test_noncommuting_T_rejected(self):
         part = validate_partition(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -375,23 +387,23 @@ def _exact_gates(H, T, partition):
     return gates
 
 
-def _exact_outcome(H, T, partition, tol):
+def _exact_outcome(H, T, partition):
     """What _outcome gives by _exact_gates alone, for pairs whose chibar
     blocks clear their rank cutoffs: the error types of the first gate that
     fails, or None when all pass."""
     for label, residual, scale in _exact_gates(H, T, partition):
-        if residual > rel_threshold(tol, scale):
+        if residual > rel_threshold(partition.tol, scale):
             if label.startswith("pair/commutation_"):
                 return CommutationError, type(None)
             return BlockInvertibilityError, SubspaceLeakError
     return None
 
 
-def _outcome(H, T, partition, tol):
+def _outcome(H, T, partition):
     """build_pair's evidence by label, or the types of the error it raised
     and of that error's cause."""
     try:
-        return {e.label: e for e in build_pair(H, T, partition, tol).evidence}
+        return {e.label: e for e in build_pair(H, T, partition).evidence}
     except SmoothSchurError as exc:
         return type(exc), type(exc.__cause__)
 
@@ -407,9 +419,10 @@ def test_pair_gates_near_the_threshold_match_exact(exact_norms, ratio):
             if residual < 1e-10:  # its threshold would sit on ABS_FLOOR
                 continue
             tol = Tolerances(residual_rel=residual / (ratio * scale))
-            got = _outcome(H, T, partition, tol)
-            want = exact_norms(_outcome, H, T, partition, tol)
-            expected = _exact_outcome(H, T, partition, tol)
+            at_tol = validate_partition(partition.chi, partition.chibar, tol)
+            got = _outcome(H, T, at_tol)
+            want = exact_norms(_outcome, H, T, at_tol)
+            expected = _exact_outcome(H, T, at_tol)
             if ratio > 1:
                 assert expected is not None
             if expected is not None:
@@ -446,9 +459,40 @@ def test_scan_validity_matches_build_pair_near_the_gates():
             gates = _exact_gates(H - lam * eye, T - lam * eye, partition)
             ratios = [r / (1e-9 * scale) for _, r, scale in gates if r > 0]
             near += any(0.1 <= q <= 10 for q in ratios)
-            shifted = (H - lam * eye, T - lam * eye, partition, Tolerances())
+            shifted = (H - lam * eye, T - lam * eye, partition)
             assert valid == isinstance(_outcome(*shifted), dict), lam
             if _exact_outcome(*shifted) is not None:
                 assert not valid
         assert True in result.pair_valid and False in result.pair_valid
     assert near >= 50
+
+
+#: The public functions downstream of a partition: each reads its tolerance.
+_DOWNSTREAM = (
+    build_pair, spectral_scan, iterated_reduction, verify_basics, verify_resolvent, verify_alt_remark,
+    kernel_correspondence, invert_H_via_F, invert_F_via_H, admissible_subspace_check,
+)
+
+
+def test_the_partition_owns_the_tolerance():
+    for fn in _DOWNSTREAM:
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    assert "tol" in {f.name for f in fields(Partition)}
+    assert "tol" not in {f.name for f in fields(FeshbachPair)}
+    inst = worked_2x2()
+    assert build_pair(inst.H, inst.T, inst.partition).tol is inst.partition.tol
+
+
+def test_partition_tolerance_reaches_pair_scan_and_reduction():
+    # rank_rel n >= 1 leaves ran(chibar) numerically empty at the partition's
+    # tolerance, and no call below is given another
+    inst = worked_2x2()
+    partition = make_sharp(np.diag([1.0, 0.0]), Tolerances(rank_rel=10))
+    assert partition.tol == Tolerances(rank_rel=10)
+    with pytest.raises(BlockInvertibilityError, match="numerically empty"):
+        build_pair(inst.H, inst.T, partition)
+    with pytest.raises(BlockInvertibilityError, match="numerically empty"):
+        spectral_scan(inst.H, inst.T, partition, [0.0, 1.0])
+    with pytest.raises(ReductionStageError) as info:
+        iterated_reduction(inst.H, inst.T, [partition])
+    assert isinstance(info.value.cause, BlockInvertibilityError)
