@@ -24,7 +24,7 @@ from .isospectral import (
     spectral_scan,
 )
 from .matio import read_matrix, write_json, write_matrix
-from .operator_core import DEFAULT_TOL, Tolerances, numerical_rank, smallest_sv
+from .operator_core import DEFAULT_TOL, Tolerances, _rank_cutoff, numerical_rank
 from .pairs import build_pair, feshbach_map, sufficient_conditions
 from .partition import Partition, validate_partition
 
@@ -183,7 +183,8 @@ def cmd_reduce(args) -> int:
     dims = [n] + [d for _, d in stages]
     final, final_dim = stages[-1]
     h_invertible = numerical_rank(H, tol) == n
-    f_invertible = numerical_rank(final, tol) == final_dim
+    s = np.linalg.svd(final, compute_uv=False)
+    f_invertible = bool(s[-1] > _rank_cutoff(s, final.shape, tol))
     print(f"reduction chain: {' -> '.join(str(d) for d in dims)}")
     print(f"H invertible: {h_invertible}; final effective operator invertible: {f_invertible}")
     if args.json:
@@ -193,7 +194,7 @@ def cmd_reduce(args) -> int:
                 "schema": SCHEMA,
                 "tolerances": asdict(tol),
                 "dims": dims,
-                "final_smallest_sv": smallest_sv(final),
+                "final_smallest_sv": float(s[-1]),
                 "H_invertible": h_invertible,
                 "final_invertible": f_invertible,
             },

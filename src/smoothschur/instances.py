@@ -5,7 +5,7 @@ reference operator T are both functions of it, taken from one decomposition
 of it, so commutation holds by construction.  H = T + W with W a random
 complex perturbation scaled relative to ||T||.  Draws that produce an
 ill-conditioned dressed block are rejected and redrawn (deterministically,
-from the same stream); the pair built to judge a draw takes no SVD of chi.
+from the same stream); every draw's pair reads the partition's one ran(chibar).
 """
 from __future__ import annotations
 

@@ -35,7 +35,6 @@ from .operator_core import (
     _kernel_basis,
     _rank_cutoff,
     as_matrix,
-    column_space,
     kernel_basis,
     op_norm,
     rel_threshold,
@@ -277,10 +276,10 @@ def _off_diagonal_sq(A: np.ndarray) -> float:
 class _ShiftedScan:
     """The shifted pairs (H - lam, T - lam) of one partition, for many lam.
 
-    Shifting H and T together leaves W, ran(chi), ran(chibar), both
-    commutation residuals and both leaks off ran(chibar) unchanged; only the
-    k x k compressions of T and H_chibar to ran(chibar) move, and F0 by
-    -lam C*C.  Everything else is computed here, once, by the
+    Shifting H and T together leaves W, both commutation residuals and both
+    leaks off ran(chibar) unchanged, and both ranges are the partition's own;
+    only the k x k compressions of T and H_chibar to ran(chibar) move, and
+    F0 by -lam C*C.  Everything else is computed here, once, by the
     _shift_invariants that build_pair uses, with the blocks of F compressed
     to ran(chi) from _compressed_map.  That raises BlockInvertibilityError
     when ran(chibar) is numerically empty, which is exactly when ran(chi)
@@ -299,7 +298,7 @@ class _ShiftedScan:
 
     def __init__(self, H, T, partition: Partition):
         fixed = _shift_invariants(H, T, partition)
-        B = fixed.ran_chibar.basis
+        B = partition.ran_chibar.basis
         # (operator A, its squared Frobenius norm off the diagonal, which a
         # shift leaves alone, [(residual norm, factor norm)]): each residual
         # must stay within rel_threshold(factor, ||A - lam||), as in build_pair
@@ -314,10 +313,9 @@ class _ShiftedScan:
         self.gram_B = B.conj().T @ B
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
         self.tol = partition.tol
-        C = column_space(partition.chi, self.tol).basis
-        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition, C)
+        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
         self.n = partition.dim
-        k, m = B.shape[1], C.shape[1]
+        k, m = B.shape[1], partition.ran_chi.dim
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
@@ -483,13 +481,13 @@ def iterated_reduction(H, T, partitions):
             pair = build_pair(H_k, T_k, partition)
         except SmoothSchurError as exc:
             raise ReductionStageError(k, exc) from exc
-        m = pair.ran_chi.dim
+        C = partition.ran_chi.basis
+        m = C.shape[1]
         if m >= pair.dim or m == 0:
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
-        C = pair.ran_chi.basis
-        F0, L, R, _ = _compressed_map(pair, partition, C)
+        F0, L, R, _ = _compressed_map(pair, partition)
         H_k = F0 - L @ np.linalg.solve(pair.K, R)
         T_k = C.conj().T @ pair.T @ C
         stages.append((H_k, m))

@@ -12,13 +12,14 @@ Given a valid pair, the map and its auxiliary operators are
   Q       = chi - chibar H_chibar^{-1} chibar W chi
   Q_sharp = chi - chi W chibar H_chibar^{-1} chibar
 
-with H_chi = T + chi*W*chi.  The pair keeps T and H_chibar on ran(chibar) as
-k x k blocks in the coordinates of its orthonormal basis B, and the map
-solves against the block K = B*H_chibar B.  What only some callers read is
-built on first read and kept: the zero-extended n x n inverses, ran(chi)
-(an SVD of chi), the singular values of H and the coupling norm
-||chibar W T^-1 chibar||.  _compressed_map gives the blocks of F compressed
-to ran(chi), which the spectral scan and the iterated reduction read.
+with H_chi = T + chi*W*chi.  ran(chi) and ran(chibar) are the partition's.
+The pair keeps T and H_chibar on ran(chibar) as k x k blocks in the
+coordinates of its orthonormal basis B, and the map solves against the block
+K = B*H_chibar B.  What only some callers read is built on first read and
+kept: the zero-extended n x n inverses, the singular values of H and the
+coupling norm ||chibar W T^-1 chibar||.  _compressed_map gives the blocks of
+F compressed to ran(chi), which the spectral scan and the iterated reduction
+read.
 
 The commutation gates of (a) and the leak gates of (b) are decided by
 operator_core.rel_gate from norm brackets: the evidence records an upper
@@ -51,7 +52,6 @@ from .operator_core import (
     _compress,
     _gate_block,
     as_matrix,
-    column_space,
     norm_exceeds,
     op_norm,
     rel_gate,
@@ -71,7 +71,6 @@ class _ShiftInvariants(NamedTuple):
     W: np.ndarray
     H_chi: np.ndarray
     H_chibar: np.ndarray
-    ran_chibar: Subspace
     commutation: tuple  # c T - T c for c = chi, chibar
     T_block: np.ndarray  # B*TB
     T_leak: np.ndarray  # (1 - BB*) T B
@@ -80,9 +79,9 @@ class _ShiftInvariants(NamedTuple):
 
 
 def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
-    """W, H_chi, H_chibar, ran(chibar), the commutation residuals, and the
-    compressions of T and H_chibar to ran(chibar) with their leak
-    residuals, at the partition's tolerance.
+    """W, H_chi, H_chibar, the commutation residuals, and the compressions
+    of T and H_chibar to the partition's ran(chibar) with their leak
+    residuals.
 
     Raises BlockInvertibilityError when ran(chibar) is numerically empty.
     The rank cutoff of a nonzero operator M is rank_rel ||M|| n, so that
@@ -94,7 +93,7 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
     chi, chibar, tol = partition.chi, partition.chibar, partition.tol
     W = H - T
     H_chibar = T + chibar @ W @ chibar
-    ran_chibar = column_space(chibar, tol)
+    ran_chibar = partition.ran_chibar
     if not ran_chibar.dim:
         nchibar = op_norm(chibar)
         cutoff = tol.rank_rel * nchibar * n
@@ -102,7 +101,7 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
             f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
         )
     return _ShiftInvariants(
-        W, T + chi @ W @ chi, H_chibar, ran_chibar,
+        W, T + chi @ W @ chi, H_chibar,
         tuple(c @ T - T @ c for c in (chi, chibar)),
         *_compress(T, ran_chibar), *_compress(H_chibar, ran_chibar),
     )
@@ -118,7 +117,6 @@ class FeshbachPair:
     W: np.ndarray
     H_chi: np.ndarray
     H_chibar: np.ndarray
-    ran_chibar: Subspace
     T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
     K: np.ndarray  # B*H_chibar B
     block_svs: dict  # "T" / "H_chibar" -> (smallest sv, largest sv) of its block
@@ -140,6 +138,14 @@ class FeshbachPair:
     def chibar(self) -> np.ndarray:
         return self.partition.chibar
 
+    @property
+    def ran_chi(self) -> Subspace:
+        return self.partition.ran_chi
+
+    @property
+    def ran_chibar(self) -> Subspace:
+        return self.partition.ran_chibar
+
     @cached_property
     def T_inv_bar(self) -> np.ndarray:
         """T^{-1} on ran(chibar), extended by zero off it."""
@@ -149,11 +155,6 @@ class FeshbachPair:
     def H_chibar_inv(self) -> np.ndarray:
         """H_chibar^{-1} on ran(chibar), extended by zero off it."""
         return self.ran_chibar.zero_extended_inverse(self.K)
-
-    @cached_property
-    def ran_chi(self) -> Subspace:
-        """The numerical column space of chi, at the pair's rank cutoff."""
-        return column_space(self.chi, self.tol)
 
     @cached_property
     def H_singular_values(self) -> np.ndarray:
@@ -218,14 +219,14 @@ def build_pair(H, T, partition: Partition) -> FeshbachPair:
 
     return FeshbachPair(
         H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
-        ran_chibar=fixed.ran_chibar, T_block=fixed.T_block, K=fixed.K, block_svs=block_svs,
-        evidence=evidence,
+        T_block=fixed.T_block, K=fixed.K, block_svs=block_svs, evidence=evidence,
     )
 
 
-def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition, C: np.ndarray):
+def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
     """The blocks (F0, L, R, C*C) of F compressed to ran(chi), for a pair or
-    its _ShiftInvariants p, C the basis of ran(chi) and B that of ran(chibar):
+    its _ShiftInvariants p, C the basis of the partition's ran(chi) and B
+    that of its ran(chibar):
 
       C*FC = F0 - L K^{-1} R,   F0 = C*H_chi C,   L = C*chi W chibar B,
                                 R = B*chibar W chi C.
@@ -233,7 +234,7 @@ def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition, C:
     A common shift lam of H and T moves F0 by -lam C*C and K by -lam B*B.
     """
     chi, chibar, W = partition.chi, partition.chibar, p.W
-    B = p.ran_chibar.basis
+    B, C = partition.ran_chibar.basis, partition.ran_chi.basis
     Ch = C.conj().T
     return Ch @ p.H_chi @ C, Ch @ chi @ W @ chibar @ B, B.conj().T @ chibar @ W @ chi @ C, Ch @ C
 

@@ -15,6 +15,7 @@ generation shares it with T as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,16 +30,17 @@ from .errors import (
 from .operator_core import (
     ABS_FLOOR,
     DEFAULT_TOL,
+    Subspace,
     Tolerances,
     as_matrix,
-    norm_bounds,
+    column_space,
+    norm_exceeds,
     norm_gate,
-    op_norm,
     rel_gate,
 )
 from .report import ResidualReport
 
-#: Operators with norm below this count as zero (partitions must be nonzero).
+#: Operators with norm at or below this count as zero (partitions must be nonzero).
 ZERO_NORM = 1e-12
 
 #: Reject generators whose eigenvector matrix condition number exceeds this.
@@ -93,15 +95,10 @@ def _decompose(A: np.ndarray, tol: Tolerances, hermitian: bool = False) -> _Deco
     return _Decomposition(w, V, np.linalg.inv(V))
 
 
-def hermitian_function(Hf, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """f(Hf) for Hermitian Hf via the spectral theorem."""
-    return _decompose(as_matrix(Hf), tol, hermitian=True)(f)
-
-
 def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """f(A) for diagonalizable A via eigen-decomposition.
 
-    Hermitian A takes the spectral theorem, as hermitian_function does.
+    Hermitian A takes the spectral theorem.
     Rejects generators whose eigenvector matrix is too ill-conditioned for
     the functional calculus to be trustworthy.
     """
@@ -122,14 +119,15 @@ class Partition:
     def dim(self) -> int:
         return self.chi.shape[0]
 
+    @cached_property
+    def ran_chi(self) -> Subspace:
+        """The numerical column space of chi at the partition's tol, taken once."""
+        return column_space(self.chi, self.tol)
 
-def _is_zero(M: np.ndarray) -> bool:
-    """Whether ||M|| < ZERO_NORM, with the exact norm only when norm_bounds
-    straddle ZERO_NORM."""
-    lo, hi = norm_bounds(M)
-    if lo < ZERO_NORM <= hi:
-        return op_norm(M) < ZERO_NORM
-    return hi < ZERO_NORM
+    @cached_property
+    def ran_chibar(self) -> Subspace:
+        """The numerical column space of chibar at the partition's tol, taken once."""
+        return column_space(self.chibar, self.tol)
 
 
 def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
@@ -145,9 +143,9 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
         raise DimensionMismatchError(
             f"partition operators must be square and equal-sized, got {chi.shape} and {chibar.shape}"
         )
-    if _is_zero(chi):
+    if not norm_exceeds(chi, ZERO_NORM):
         raise PartitionError("chi is (numerically) the zero operator")
-    if _is_zero(chibar):
+    if not norm_exceeds(chibar, ZERO_NORM):
         raise PartitionError("chibar is (numerically) the zero operator")
 
     def unity_gate(r, norms):

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from smoothschur import Tolerances, operator_core
+from smoothschur import (
+    SmoothSchurError,
+    Tolerances,
+    build_pair,
+    make_commuting_T,
+    make_nonselfadjoint,
+    make_smooth_selfadjoint,
+    operator_core,
+    smoothstep,
+)
+from smoothschur.instances import InstanceSpec, _well_conditioned, generate, random_unitary
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
+
+#: The two forms of overlap_instance.
+OVERLAP_FORMS = ("overlap-hermitian", "overlap-nonselfadjoint")
 
 # every property draws the same examples on every run and keeps no example
 # database, so no run depends on an earlier one
@@ -36,3 +49,54 @@ def exact_norms(monkeypatch):
             return fn(*args)
 
     return run
+
+
+def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
+    """(H, T, partition) whose chi and chibar overlap: m = dim ran(chi) and
+    k = dim ran(chibar) are both below n, and m + k > n (for n >= 3).
+
+    The generator A has spectrum linspace(-0.5, 1.5, n), which straddles
+    [0, 1].  The Hermitian form is chi = smoothstep(A) for A Hermitian; the
+    non-selfadjoint form is chi = sin theta(A), chibar = cos theta(A) for a
+    non-normal A whose eigenvalues also carry imaginary parts up to 0.1,
+    with theta = (pi/2) smoothstep(Re w), which is pi/2 where Re w <= 0 and 0
+    where Re w >= 1.  T is a function of A, and H = T + W with ||W|| = scale
+    ||T||; kernel_dim > 0 plants ker H = span(V) by H (1 - V V*), V a random
+    orthonormal frame.  Draws are redrawn, as generate does, until the pair
+    builds with well-conditioned chibar blocks.
+    """
+    rng = np.random.default_rng(seed)
+    U = random_unitary(rng, n)
+    w = np.linspace(-0.5, 1.5, n)
+    if form == "overlap-hermitian":
+        A = (U * w) @ U.conj().T
+        A = (A + A.conj().T) / 2
+        partition = make_smooth_selfadjoint(A, smoothstep)
+        T = make_commuting_T(A, lambda z: z + 1.2 + 0.3j)
+    else:
+        R = crandn(rng, n)
+        V = U @ (np.eye(n) + 0.3 * R / np.linalg.norm(R, 2))
+        A = (V * (w + 0.1j * rng.uniform(-1.0, 1.0, n))) @ np.linalg.inv(V)
+        partition = make_nonselfadjoint(A, lambda z: 0.5 * np.pi * smoothstep(z.real))
+        T = make_commuting_T(A, lambda z: z + 1.2)
+    for _ in range(64):
+        W = crandn(rng, n)
+        H = T + scale * np.linalg.norm(T, 2) / np.linalg.norm(W, 2) * W
+        if kernel_dim:
+            K, _ = np.linalg.qr(crandn(rng, n, kernel_dim))
+            H = H @ (np.eye(n) - K @ K.conj().T)
+        try:
+            if _well_conditioned(build_pair(H, T, partition)):
+                return H, T, partition
+        except SmoothSchurError:
+            pass
+    raise AssertionError(f"no well-conditioned {form} overlap draw at n={n}, seed={seed}")
+
+
+def instance(kind, n, seed, scale):
+    """(H, T, partition): generate's instance for a kind in KINDS, or
+    overlap_instance's for a form in OVERLAP_FORMS."""
+    if kind in OVERLAP_FORMS:
+        return overlap_instance(kind, n, seed, scale)
+    inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=seed))
+    return inst.H, inst.T, inst.partition

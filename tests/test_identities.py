@@ -20,6 +20,8 @@ from smoothschur import (
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
 from smoothschur.operator_core import BOUND_NOTE
 
+from conftest import OVERLAP_FORMS, instance
+
 KINDS = ("sharp", "smooth", "nonselfadjoint")
 
 
@@ -129,15 +131,14 @@ def _verdicts(H, T, partition):
     return [(e.label, e.passed) for r in reports for e in r] + [(kc.dim_ker_H, kc.dim_ker_F, kc.passed)]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
 @pytest.mark.parametrize("n", [2, 8, 32])
 @pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
 def test_verdicts_independent_of_operator_scale(kind, n, scale):
-    spec = InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=derived_seed(59, n))
-    inst = generate(spec)
-    base = _verdicts(inst.H, inst.T, inst.partition)
+    H, T, partition = instance(kind, n, derived_seed(59, n), scale)
+    base = _verdicts(H, T, partition)
     for s in (1e-8, 1e8):
-        assert _verdicts(s * inst.H, s * inst.T, inst.partition) == base
+        assert _verdicts(s * H, s * T, partition) == base
 
 
 def test_adjoint_symmetry():

@@ -35,12 +35,12 @@ from smoothschur import (
     verify_resolvent,
     worked_2x2,
 )
-from smoothschur import pairs as pairs_module
+from smoothschur import partition as partition_module
 from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate
 from smoothschur.errors import SubspaceLeakError
 from smoothschur.operator_core import BOUND_NOTE, rel_threshold
 
-from conftest import KINDS, crandn
+from conftest import KINDS, OVERLAP_FORMS, crandn, instance
 
 
 @pytest.fixture
@@ -88,6 +88,7 @@ class TestBuildPair:
         inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(43, 8)))
         pair = build_pair(inst.H, inst.T, inst.partition)
         assert np.array_equal(pair.ran_chi.basis, column_space(pair.chi).basis)
+        assert pair.ran_chi is inst.partition.ran_chi
 
     def test_ran_chi_built_only_when_read(self, monkeypatch):
         taken = []
@@ -98,12 +99,14 @@ class TestBuildPair:
 
         inst = generate(InstanceSpec(dim=8, partition_kind="nonselfadjoint", seed=derived_seed(43, 8)))
         tol = Tolerances(rank_rel=1e-9)
+        monkeypatch.setattr(partition_module, "column_space", recording)
         partition = validate_partition(inst.partition.chi, inst.partition.chibar, tol)
-        monkeypatch.setattr(pairs_module, "column_space", recording)
+        assert taken == []
         pair = build_pair(inst.H, inst.T, partition)
         assert [M is pair.chibar for M in taken] == [True]
         assert pair.ran_chi is pair.ran_chi
         assert [M is pair.chi for M in taken] == [False, True]
+        assert pair.ran_chi is partition.ran_chi and pair.ran_chibar is partition.ran_chibar
         assert np.array_equal(pair.ran_chi.basis, column_space(pair.chi, tol).basis)
 
     @pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
@@ -317,13 +320,11 @@ def _reference_map(pair):
     return FeshbachData(F=F, Q=chi - cross, Q_sharp=Q_sharp), G, T_inv
 
 
-@pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
 @pytest.mark.parametrize("n", [2, 8, 64])
 @pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
 def test_block_solves_match_inverse_formulas(kind, n, scale):
-    spec = InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=derived_seed(41, n))
-    inst = generate(spec)
-    pair = build_pair(inst.H, inst.T, inst.partition)
+    pair = build_pair(*instance(kind, n, derived_seed(41, n), scale))
     data = feshbach_map(pair)
     ref, G, T_inv = _reference_map(pair)
     for got, want in (

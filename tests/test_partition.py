@@ -10,19 +10,23 @@ from smoothschur import (
     NotHermitianError,
     NotIdempotentError,
     PartitionError,
+    Tolerances,
     make_commuting_T,
     make_nonselfadjoint,
     make_sharp,
     make_smooth_selfadjoint,
     matrix_function,
     op_norm,
+    build_pair,
+    column_space,
     smoothstep,
+    spectral_scan,
     validate_partition,
 )
 
-from smoothschur.instances import InstanceSpec, derived_seed, generate
+from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
 
-from conftest import KINDS, crandn
+from conftest import KINDS, OVERLAP_FORMS, crandn, overlap_instance
 
 
 class TestValidatePartition:
@@ -44,6 +48,13 @@ class TestValidatePartition:
     def test_zero_chi_rejected(self):
         with pytest.raises(PartitionError, match="zero"):
             validate_partition(np.zeros((2, 2)), np.eye(2))
+
+    def test_zero_norm_is_inclusive(self):
+        # ||chi|| at ZERO_NORM counts as zero, and twice it does not
+        zero = partition_module.ZERO_NORM
+        with pytest.raises(PartitionError, match="chi is"):
+            validate_partition(np.diag([zero, 0.0]), np.eye(2))
+        assert validate_partition(np.diag([2 * zero, 0.0]), np.eye(2)).evidence.passed
 
     def test_noncommuting_rejected(self):
         chi = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -188,15 +199,9 @@ def test_matrix_function_tests_hermitian_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_hermitian_function_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError, match="Hermitian residual"):
-        partition_module.hermitian_function(np.array([[0.0, 1.0], [0.0, 0.0]]), np.exp)
-
-
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (partition_module.hermitian_function, NotHermitianError, r"Hermitian residual \S+ > \S+"),
         (make_smooth_selfadjoint, NotHermitianError, r"Hermitian residual \S+ > \S+"),
         (matrix_function, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
         (make_nonselfadjoint, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
@@ -239,8 +244,8 @@ def test_generated_operators_match_separate_function_calls(monkeypatch, kind, n)
     (A,) = generators
     if kind == "smooth":
         fbar = lambda w: np.sqrt(np.clip(1.0 - smoothstep(w) ** 2, 0.0, None))  # noqa: E731
-        chi = partition_module.hermitian_function(A, smoothstep)
-        chibar = partition_module.hermitian_function(A, fbar)
+        chi = matrix_function(A, smoothstep)
+        chibar = matrix_function(A, fbar)
         T = make_commuting_T(A, lambda w: w + 1.2 + 0.3j)
         public = make_smooth_selfadjoint(A, smoothstep)
     else:
@@ -259,3 +264,80 @@ def test_smoothstep_shape():
     assert smoothstep(1.0) == 0.0
     assert smoothstep(2.0) == 0.0
     assert smoothstep(0.5) == pytest.approx(0.5)
+
+
+class TestRangeOwnership:
+    """The partition takes ran(chi) and ran(chibar) once each, on first read,
+    and every pair, scan and redraw on it reads the same Subspace."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """The matrices passed to the partition module's column_space."""
+        taken = []
+
+        def recording(M, tol):
+            taken.append(M)
+            return column_space(M, tol)
+
+        monkeypatch.setattr(partition_module, "column_space", recording)
+        return taken
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ranges_are_column_spaces_at_the_partition_tol(self, taken, kind):
+        inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(23, 8)))
+        tol = Tolerances(rank_rel=1e-9)
+        taken.clear()  # generate's own pair read inst.partition's ran(chibar)
+        partition = validate_partition(inst.partition.chi, inst.partition.chibar, tol)
+        assert taken == []
+        for _ in range(2):
+            assert np.array_equal(partition.ran_chi.basis, column_space(partition.chi, tol).basis)
+            assert np.array_equal(partition.ran_chibar.basis, column_space(partition.chibar, tol).basis)
+        assert [M is partition.chi for M in taken] == [True, False]
+        assert [M is partition.chibar for M in taken] == [False, True]
+
+    def test_generate_singular_takes_one_chibar_range(self, taken, monkeypatch):
+        built = []
+        build = instances_module.build_pair
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(instances_module, "build_pair", counting)
+        spec = InstanceSpec(dim=8, partition_kind="sharp", perturbation_scale=0.45, seed=20)
+        inst = generate_singular(spec, 4)
+        assert len(built) >= 3  # the base draw's pair and at least two more
+        assert len(taken) == 1 and taken[0] is inst.partition.chibar
+
+    def test_repeated_scans_take_no_range_svd(self, taken, monkeypatch):
+        inst = generate(InstanceSpec(dim=8, partition_kind="nonselfadjoint", seed=derived_seed(29, 8)))
+        grid = np.linspace(0.0, 3.0, 7) + 0.1j
+        spectral_scan(inst.H, inst.T, inst.partition, grid)
+        assert len(taken) == 2
+        full_svds = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            full_svds.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        spectral_scan(inst.H, inst.T, inst.partition, grid)
+        assert len(taken) == 2 and True not in full_svds
+
+    @pytest.mark.parametrize("form", OVERLAP_FORMS)
+    def test_pair_forwards_the_partitions_ranges(self, form):
+        H, T, partition = overlap_instance(form, 8, derived_seed(31, 8))
+        pair = build_pair(H, T, partition)
+        assert pair.ran_chi is partition.ran_chi
+        assert pair.ran_chibar is partition.ran_chibar
+
+
+@pytest.mark.parametrize("form", OVERLAP_FORMS)
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_overlap_builder_reaches_the_overlapping_regime(form, n):
+    # the regime of the smooth map: m < n, k < n and m + k > n
+    _, _, partition = overlap_instance(form, n, derived_seed(37, n))
+    m, k = partition.ran_chi.dim, partition.ran_chibar.dim
+    assert m < n and k < n and m + k > n
+    assert partition.evidence.passed
