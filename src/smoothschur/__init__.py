@@ -55,8 +55,6 @@ from .operator_core import (
     numerical_rank,
     op_norm,
     restricted_inverse,
-    restricted_map,
-    smallest_sv,
 )
 from .pairs import (
     FeshbachData,

@@ -32,14 +32,13 @@ from .operator_core import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _compress,
     _kernel_basis,
     _rank_cutoff,
     as_matrix,
-    kernel_basis,
     op_norm,
     rel_threshold,
     restricted_inverse,
-    restricted_map,
 )
 from .pairs import FeshbachData, FeshbachPair, _compressed_map, _shift_invariants, build_pair
 from .partition import Partition, make_sharp
@@ -54,18 +53,10 @@ def admissible_subspace_check(pair: FeshbachPair, V: Subspace) -> ResidualReport
     """
     report = ResidualReport()
     chi, tol = pair.chi, pair.tol
-    P = V.projector()
-    eye = np.eye(pair.dim)
-
-    containment = op_norm((eye - P) @ chi) / (1.0 + op_norm(chi))
-    report.add("subspace/contains_ran_chi", containment, tol.residual_rel)
-
-    _, t_leak = restricted_map(pair.T, V)
-    report.add("subspace/T_invariant", t_leak, rel_threshold(tol, op_norm(pair.T)))
-
+    report.add("subspace/contains_ran_chi", op_norm(V.off(chi)) / (1.0 + op_norm(chi)), tol.residual_rel)
     Tb = pair.chibar @ pair.T_inv_bar @ pair.chibar
-    _, tb_leak = restricted_map(Tb, V)
-    report.add("subspace/T_inv_bar_invariant", tb_leak, rel_threshold(tol, op_norm(Tb)))
+    for label, A in (("T_invariant", pair.T), ("T_inv_bar_invariant", Tb)):
+        report.add(f"subspace/{label}", op_norm(_compress(A, V)[1]), rel_threshold(tol, op_norm(A)))
     return report
 
 
@@ -144,15 +135,17 @@ def kernel_correspondence(pair: FeshbachPair, data: FeshbachData) -> KernelCorre
 
     ker F is computed inside ran(chi): vectors v = C c with F C c = 0, C the
     orthonormal basis of pair.ran_chi.  ker H is decided from the pair's
-    singular values of H.  Both kernel ranks are cut at pair.tol.
+    singular values of H, at its rank cutoff.  The rank of F C is cut at
+    rank_rel n ||F||, not at a cutoff relative to ||F C||, so an F C that
+    is zero up to rounding has a full kernel.
     """
     chi, Q, tol = pair.chi, data.Q, pair.tol
     ker_H = _kernel_basis(pair.H, pair.H_singular_values, tol)
 
-    C = pair.ran_chi.basis
-    coeffs = kernel_basis(data.F @ C, tol)
-    ker_F_basis = C @ coeffs.basis  # orthonormal: C has orthonormal columns
-    dim_ker_F = ker_F_basis.shape[1]
+    C = pair.ran_chi
+    FC = C.restrict(data.F)
+    coeffs = _kernel_basis(FC, np.linalg.svd(FC, compute_uv=False), tol, anchor=data.F)
+    ker_F_basis = C.lift(coeffs.basis)  # orthonormal: C has orthonormal columns
 
     P_F = ker_F_basis @ ker_F_basis.conj().T
     P_H = ker_H.projector()
@@ -162,7 +155,7 @@ def kernel_correspondence(pair: FeshbachPair, data: FeshbachData) -> KernelCorre
 
     return KernelCorrespondence(
         dim_ker_H=ker_H.dim,
-        dim_ker_F=dim_ker_F,
+        dim_ker_F=coeffs.dim,
         chi_maps_residual=_max_column_norm(chi_V - P_F @ chi_V),
         q_maps_residual=_max_column_norm(Q_W - P_H @ Q_W),
         roundtrip_residual=max(
@@ -276,29 +269,24 @@ def _off_diagonal_sq(A: np.ndarray) -> float:
 class _ShiftedScan:
     """The shifted pairs (H - lam, T - lam) of one partition, for many lam.
 
-    Shifting H and T together leaves W, both commutation residuals and both
-    leaks off ran(chibar) unchanged, and both ranges are the partition's own;
-    only the k x k compressions of T and H_chibar to ran(chibar) move, and
-    F0 by -lam C*C.  Everything else is computed here, once, by the
-    _shift_invariants that build_pair uses, with the blocks of F compressed
-    to ran(chi) from _compressed_map.  That raises BlockInvertibilityError
-    when ran(chibar) is numerically empty, which is exactly when ran(chi)
-    is, so both ranges here have dimension at least 1.  The exact norms of
-    the commutation and leak residuals are taken here once per scan, where
+    A common shift leaves W, both commutation residuals and both leaks off
+    ran(chibar) unchanged; only the k x k blocks of T and H_chibar move, by
+    -lam B*B, and F0 by -lam C*C.  Everything else is computed once, by the
+    _shift_invariants that build_pair uses (which raises
+    BlockInvertibilityError when ran(chibar), and so ran(chi), is
+    numerically empty) and by _compressed_map.  A range that is the whole
+    space has the identity basis: its Gram matrix is the identity, nothing
+    leaks off it, and no product with the basis is formed.  The exact norms
+    of the commutation and leak residuals are taken once per scan, where
     build_pair decides the same gates from norm brackets; both reach the
-    exact verdict.
-
-    Each k x k block M also gets one _EigenCertificate, from eig(M): a lower
-    bound on sigma_min(M - lam B*B) that costs O(k) per shift.  Where it
-    clears the rank cutoff the SVD would pass the block too, so the rank test
-    skips the SVD there; near an eigenvalue of M, for non-finite blocks, and
-    at every shift when eig fails or its eigenvectors are singular or too
-    ill-conditioned, the SVD decides as before.
+    exact verdict.  Each block M also gets one _EigenCertificate, a lower
+    bound on sigma_min(M - lam B*B) at O(k) per shift, so the SVD decides
+    the rank test only where the bound leaves it open (see spectral_scan).
     """
 
     def __init__(self, H, T, partition: Partition):
         fixed = _shift_invariants(H, T, partition)
-        B = partition.ran_chibar.basis
+        B = partition.ran_chibar
         # (operator A, its squared Frobenius norm off the diagonal, which a
         # shift leaves alone, [(residual norm, factor norm)]): each residual
         # must stay within rel_threshold(factor, ||A - lam||), as in build_pair
@@ -310,12 +298,12 @@ class _ShiftedScan:
             (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(op_norm(fixed.K_leak), 1.0)]),
         ]
         self.blocks = (fixed.T_block, fixed.K)
-        self.gram_B = B.conj().T @ B
+        self.gram_B = B.coords(B.basis)
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
         self.tol = partition.tol
         self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
         self.n = partition.dim
-        k, m = B.shape[1], partition.ran_chi.dim
+        k, m = B.dim, partition.ran_chi.dim
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def points(self, lams: np.ndarray):
@@ -481,15 +469,15 @@ def iterated_reduction(H, T, partitions):
             pair = build_pair(H_k, T_k, partition)
         except SmoothSchurError as exc:
             raise ReductionStageError(k, exc) from exc
-        C = partition.ran_chi.basis
-        m = C.shape[1]
+        C = partition.ran_chi
+        m = C.dim
         if m >= pair.dim or m == 0:
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
         F0, L, R, _ = _compressed_map(pair, partition)
         H_k = F0 - L @ np.linalg.solve(pair.K, R)
-        T_k = C.conj().T @ pair.T @ C
+        T_k = C.restrict(C.coords(pair.T))
         stages.append((H_k, m))
     return stages
 

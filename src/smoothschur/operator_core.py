@@ -6,20 +6,23 @@ bracket of norm_bounds, and takes the exact norm (an SVD) only when the
 bracket leaves the verdict open; rel_gate is that gate for residual <=
 rel_threshold(tol, factor norms).  kernel_basis decides an empty kernel from
 the singular values alone when the smallest clears the rank cutoff by more
-than their rounding, and takes the full SVD only otherwise.
+than their rounding, and takes the full SVD only otherwise; column_space
+decides a full column space, whose basis is the identity, the same way.
 
 Every operator in this package is an explicit complex ndarray.  An operator
 restricted to a subspace with orthonormal basis B is kept in coordinates, as
 its k x k compression B^H A B, next to the residual (1 - B B^H) A B whose
 norm is its leak off the subspace; the gate deciding whether that block is
 invertible (leak threshold, smallest singular value against the rank cutoff)
-lives here.  restricted_inverse zero-extends the inverse block to a
-full-size matrix for callers that need one.
+lives here.  Every product with B goes through the Subspace, which skips it
+for the identity basis of the whole space.  restricted_inverse zero-extends
+the inverse block to a full-size matrix for callers that need one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -155,14 +158,6 @@ def norm_exceeds(M, limit: float) -> bool:
     return value > bound
 
 
-def smallest_sv(M) -> float:
-    """Smallest singular value of a (possibly rectangular) matrix."""
-    A = np.asarray(M, dtype=complex)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
 def rel_threshold(tol: Tolerances, *norms: float) -> float:
     """Residual acceptance relative to the factor norms, with absolute floor."""
     scale = 1.0
@@ -175,7 +170,11 @@ def rel_threshold(tol: Tolerances, *norms: float) -> float:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n given by an orthonormal column basis (n x k)."""
+    """A subspace of C^n given by an orthonormal column basis B (n x k).
+
+    The identity basis of the whole space is recognized once, on
+    construction.  coords (B^H X), lift (B X) and restrict (X B) return X
+    itself for it, so no caller multiplies by the identity."""
 
     ambient_dim: int
     basis: np.ndarray
@@ -187,22 +186,41 @@ class Subspace:
                 f"basis shape {B.shape} incompatible with ambient dim {self.ambient_dim}"
             )
         k = B.shape[1]
-        if k:
+        if k and not self.is_identity:
             gram = B.conj().T @ B
             if norm_exceeds(gram - np.eye(k), _ORTHONORMAL_TOL):
                 raise ValueError("basis columns are not orthonormal")
+
+    @cached_property
+    def is_identity(self) -> bool:
+        return self.dim == self.ambient_dim and np.array_equal(self.basis, np.eye(self.dim))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    def coords(self, X: np.ndarray) -> np.ndarray:
+        return X if self.is_identity else self.basis.conj().T @ X
+
+    def lift(self, X: np.ndarray) -> np.ndarray:
+        return X if self.is_identity else self.basis @ X
+
+    def restrict(self, X: np.ndarray) -> np.ndarray:
+        return X if self.is_identity else X @ self.basis
+
+    def off(self, X: np.ndarray) -> np.ndarray:
+        """(1 - B B^H) X; for the whole space an empty matrix, of norm 0."""
+        if self.is_identity:
+            return np.zeros((0, X.shape[1]), dtype=complex)
+        return (np.eye(self.ambient_dim) - self.projector()) @ X
+
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        return self.lift(self.basis.conj().T)
 
     def zero_extended_inverse(self, block: np.ndarray) -> np.ndarray:
         """B block^-1 B^H: the inverse of a k x k block in the coordinates of
         the basis B, as an n x n matrix vanishing off the subspace."""
-        return self.basis @ np.linalg.solve(block, self.basis.conj().T)
+        return self.lift(np.linalg.solve(block, self.basis.conj().T))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -248,13 +266,20 @@ def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
 
 
+def _clears(s: np.ndarray, shape: tuple, cutoff: float) -> bool:
+    """Whether the smallest of the singular values s (largest first) of a
+    matrix of this shape exceeds cutoff by more than _CERT_ROUNDING
+    max(shape) eps times the largest: then the full SVD's values, which
+    differ from these by less, exceed it too."""
+    return s[-1] - cutoff > _CERT_ROUNDING * max(shape) * np.finfo(float).eps * s[0]
+
+
 def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical null space of M.
 
-    With rows >= cols the singular values alone decide an empty kernel: when
-    the smallest exceeds the rank cutoff by more than _CERT_ROUNDING
-    max(shape) eps times the largest, the full SVD's values, which differ
-    from these by less, clear its cutoff too.  Otherwise the full SVD decides.
+    With rows >= cols the singular values alone decide an empty kernel when
+    they clear the rank cutoff by more than their rounding (_clears).
+    Otherwise the full SVD decides.
     """
     A = as_matrix(M)
     rows, cols = A.shape
@@ -263,55 +288,59 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return _kernel_basis(A, np.linalg.svd(A, compute_uv=False) if rows >= cols else None, tol)
 
 
-def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances) -> Subspace:
+def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=None) -> Subspace:
     """kernel_basis of a nonempty A, given its singular values s when it has
-    rows >= cols (None otherwise)."""
-    cols = A.shape[1]
-    if s is not None:
-        rho = _CERT_ROUNDING * max(A.shape) * np.finfo(float).eps
-        if s[-1] - _rank_cutoff(s, A.shape, tol) > rho * s[0]:
-            return Subspace.empty(cols)
+    rows >= cols (None otherwise).  With an anchor the rank cutoff is
+    rank_rel max(shape) ||anchor||, not relative to A's own largest singular
+    value; ||anchor|| comes from norm_bounds, and exactly only when a
+    singular value of A falls between the bracket's two cutoffs."""
+    cols, scale = A.shape[1], tol.rank_rel * max(A.shape)
+    bracket = None if anchor is None else [scale * b for b in norm_bounds(anchor)]
+    if s is not None and _clears(s, A.shape, bracket[1] if bracket else _rank_cutoff(s, A.shape, tol)):
+        return Subspace.empty(cols)
     _, s, vh = np.linalg.svd(A)
-    cutoff = _rank_cutoff(s, A.shape, tol)
-    rank = int(np.sum(s > cutoff))
+    lo, hi = bracket or [_rank_cutoff(s, A.shape, tol)] * 2
+    rank = int(np.sum(s > hi))
+    if rank != np.sum(s > lo):
+        rank = int(np.sum(s > scale * op_norm(anchor)))
     null = vh[rank:].conj().T  # cols - rank columns, padded rows of vh included
     return Subspace(cols, _fix_gauge(null))
 
 
 def column_space(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical column space of M."""
+    """Orthonormal basis of the numerical column space of M.
+
+    When the rank is the number of rows the basis is the identity.  With
+    rows <= cols the singular values alone decide that when they clear the
+    rank cutoff by more than their rounding (_clears); the full SVD decides
+    every other case.
+    """
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return Subspace.empty(rows)
+    s = np.linalg.svd(A, compute_uv=False) if rows <= cols else None
+    if s is not None and _clears(s, A.shape, _rank_cutoff(s, A.shape, tol)):
+        return Subspace.full(rows)
     u, s, _ = np.linalg.svd(A)
-    cutoff = _rank_cutoff(s, A.shape, tol)
-    rank = int(np.sum(s > cutoff))
-    return Subspace(rows, _fix_gauge(u[:, :rank]))
+    rank = int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
+    return Subspace.full(rows) if rank == rows else Subspace(rows, _fix_gauge(u[:, :rank]))
 
 
 def _compress(A, V: Subspace):
     """(B^H A B, (1 - B B^H) A B) for the basis B of V: the compression of A
-    to V and the residual whose norm is the leak of A off V."""
+    to V and the residual whose norm is the leak of A off V.  Nothing leaks
+    off the whole space: its residual is an empty matrix, of norm 0."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] != V.ambient_dim:
         raise DimensionMismatchError(
             f"operator shape {A.shape} does not match ambient dim {V.ambient_dim}"
         )
-    B = V.basis
-    AB = A @ B
-    coords = B.conj().T @ AB
-    return coords, AB - B @ coords
-
-
-def restricted_map(A, V: Subspace):
-    """Coordinate representation of A on the subspace V.
-
-    Returns (coords, leak): coords = B^H A B with B the basis of V, and
-    leak = ||(1 - B B^H) A B||, the extent to which A fails to map V into V.
-    """
-    coords, leak = _compress(A, V)
-    return coords, op_norm(leak)
+    if V.is_identity:
+        return A, V.off(A)
+    AB = V.restrict(A)
+    coords = V.coords(AB)
+    return coords, AB - V.lift(coords)
 
 
 def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Tolerances):

@@ -15,7 +15,9 @@ Given a valid pair, the map and its auxiliary operators are
 with H_chi = T + chi*W*chi.  ran(chi) and ran(chibar) are the partition's.
 The pair keeps T and H_chibar on ran(chibar) as k x k blocks in the
 coordinates of its orthonormal basis B, and the map solves against the block
-K = B*H_chibar B.  What only some callers read is built on first read and
+K = B*H_chibar B.  Every product with a basis goes through its Subspace, so
+a range that is the whole space, whose basis is the identity, costs none: K
+is H_chibar itself.  What only some callers read is built on first read and
 kept: the zero-extended n x n inverses, the singular values of H and the
 coupling norm ||chibar W T^-1 chibar||.  _compressed_map gives the blocks of
 F compressed to ran(chi), which the spectral scan and the iterated reduction
@@ -234,9 +236,9 @@ def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
     A common shift lam of H and T moves F0 by -lam C*C and K by -lam B*B.
     """
     chi, chibar, W = partition.chi, partition.chibar, p.W
-    B, C = partition.ran_chibar.basis, partition.ran_chi.basis
-    Ch = C.conj().T
-    return Ch @ p.H_chi @ C, Ch @ chi @ W @ chibar @ B, B.conj().T @ chibar @ W @ chi @ C, Ch @ C
+    B, C = partition.ran_chibar, partition.ran_chi
+    F0, gram_C = C.restrict(C.coords(p.H_chi)), C.coords(C.basis)
+    return F0, B.restrict(C.coords(chi) @ W @ chibar), C.restrict(B.coords(chibar) @ W @ chi), gram_C
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:
@@ -248,12 +250,12 @@ def feshbach_map(pair: FeshbachPair) -> FeshbachData:
       Q_sharp = chi - chi W chibar B K^{-1} B* chibar
     """
     chi, chibar, W, K = pair.chi, pair.chibar, pair.W, pair.K
-    B = pair.ran_chibar.basis
-    Bh_chibar = B.conj().T @ chibar
-    left = chi @ W @ chibar @ B
+    B = pair.ran_chibar
+    Bh_chibar = B.coords(chibar)
+    left = B.restrict(chi @ W @ chibar)
     cross = np.linalg.solve(K, Bh_chibar @ W @ chi)
     F = pair.H_chi - left @ cross
-    Q = chi - chibar @ B @ cross
+    Q = chi - B.restrict(chibar) @ cross
     Q_sharp = chi - left @ np.linalg.solve(K, Bh_chibar)
     return FeshbachData(F=F, Q=Q, Q_sharp=Q_sharp)
 
@@ -310,7 +312,6 @@ def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
             break
         total = total + term
         terms_used += 1
-    approx_inv = Tib @ total
-    B = pair.ran_chibar.basis
-    residual = op_norm(approx_inv @ pair.H_chibar @ B - B)
+    approx_inv, B = Tib @ total, pair.ran_chibar
+    residual = op_norm(B.restrict(approx_inv @ pair.H_chibar) - B.basis)
     return NeumannResult(approx_inv=approx_inv, terms_used=terms_used, residual=residual, truncated=truncated)

@@ -11,6 +11,7 @@ from smoothschur import (
     make_commuting_T,
     make_nonselfadjoint,
     make_smooth_selfadjoint,
+    op_norm,
     operator_core,
     smoothstep,
 )
@@ -20,6 +21,19 @@ KINDS = ("sharp", "smooth", "nonselfadjoint")
 
 #: The two forms of overlap_instance.
 OVERLAP_FORMS = ("overlap-hermitian", "overlap-nonselfadjoint")
+
+#: The two Hermitian forms of overlap_instance in which one range is the
+#: whole space and the other is proper: ran(chi) in the first, ran(chibar)
+#: in the second.
+MIXED_FORMS = ("mixed-chi-full", "mixed-chibar-full")
+
+#: The ends of the generator's spectrum in each form of overlap_instance.
+_SPECTRUM = {
+    "overlap-hermitian": (-0.5, 1.5),
+    "overlap-nonselfadjoint": (-0.5, 1.5),
+    "mixed-chi-full": (-0.5, 0.9),
+    "mixed-chibar-full": (0.1, 1.5),
+}
 
 # every property draws the same examples on every run and keeps no example
 # database, so no run depends on an earlier one
@@ -35,6 +49,21 @@ def tol():
 def crandn(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def restricted_map(A, V):
+    """(B* A B, ||(1 - B B*) A B||) for the basis B of V, from the literal
+    formulas: a reference for operator_core._compress."""
+    B = V.basis
+    AB = np.asarray(A, dtype=complex) @ B
+    coords = B.conj().T @ AB
+    return coords, op_norm(AB - B @ coords)
+
+
+def smallest_sv(M):
+    """Smallest singular value of M; 0 when M is empty."""
+    A = np.asarray(M, dtype=complex)
+    return float(np.linalg.svd(A, compute_uv=False)[-1]) if A.size else 0.0
 
 
 @pytest.fixture
@@ -53,10 +82,14 @@ def exact_norms(monkeypatch):
 
 def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
     """(H, T, partition) whose chi and chibar overlap: m = dim ran(chi) and
-    k = dim ran(chibar) are both below n, and m + k > n (for n >= 3).
+    k = dim ran(chibar) are both below n, and m + k > n (for n >= 3).  In
+    the MIXED_FORMS one of m and k is n instead.
 
     The generator A has spectrum linspace(-0.5, 1.5, n), which straddles
-    [0, 1].  The Hermitian form is chi = smoothstep(A) for A Hermitian; the
+    [0, 1]; in the MIXED_FORMS it is linspace(-0.5, 0.9, n), so that chibar
+    vanishes only where A <= 0, or linspace(0.1, 1.5, n), so that chi
+    vanishes only where A >= 1.  The Hermitian forms are chi = smoothstep(A)
+    for A Hermitian; the
     non-selfadjoint form is chi = sin theta(A), chibar = cos theta(A) for a
     non-normal A whose eigenvalues also carry imaginary parts up to 0.1,
     with theta = (pi/2) smoothstep(Re w), which is pi/2 where Re w <= 0 and 0
@@ -67,8 +100,8 @@ def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
     """
     rng = np.random.default_rng(seed)
     U = random_unitary(rng, n)
-    w = np.linspace(-0.5, 1.5, n)
-    if form == "overlap-hermitian":
+    w = np.linspace(*_SPECTRUM[form], n)
+    if form != "overlap-nonselfadjoint":
         A = (U * w) @ U.conj().T
         A = (A + A.conj().T) / 2
         partition = make_smooth_selfadjoint(A, smoothstep)
@@ -95,8 +128,8 @@ def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
 
 def instance(kind, n, seed, scale):
     """(H, T, partition): generate's instance for a kind in KINDS, or
-    overlap_instance's for a form in OVERLAP_FORMS."""
-    if kind in OVERLAP_FORMS:
+    overlap_instance's for a form in OVERLAP_FORMS or MIXED_FORMS."""
+    if kind in _SPECTRUM:
         return overlap_instance(kind, n, seed, scale)
     inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=seed))
     return inst.H, inst.T, inst.partition

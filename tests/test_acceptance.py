@@ -18,8 +18,6 @@ from smoothschur import (
     make_sharp,
     neumann_inverse,
     op_norm,
-    restricted_map,
-    smallest_sv,
     spectral_scan,
     verify_alt_remark,
     verify_basics,
@@ -31,7 +29,7 @@ from smoothschur.instances import InstanceSpec, derived_seed, generate, generate
 from smoothschur.operator_core import DEFAULT_TOL
 from smoothschur.pairs import NEUMANN_TOL
 
-from conftest import crandn
+from conftest import crandn, restricted_map
 
 ALL_KINDS = ("sharp", "smooth", "nonselfadjoint")
 SCALES = (0.0, 0.1, 0.45)

@@ -20,7 +20,7 @@ from smoothschur import (
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
 from smoothschur.operator_core import BOUND_NOTE
 
-from conftest import OVERLAP_FORMS, instance
+from conftest import MIXED_FORMS, OVERLAP_FORMS, instance
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
 
@@ -131,7 +131,7 @@ def _verdicts(H, T, partition):
     return [(e.label, e.passed) for r in reports for e in r] + [(kc.dim_ker_H, kc.dim_ker_F, kc.passed)]
 
 
-@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
 @pytest.mark.parametrize("n", [2, 8, 32])
 @pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
 def test_verdicts_independent_of_operator_scale(kind, n, scale):

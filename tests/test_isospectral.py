@@ -27,8 +27,6 @@ from smoothschur import (
     make_sharp,
     numerical_rank,
     op_norm,
-    restricted_map,
-    smallest_sv,
     spectral_scan,
     validate_partition,
     worked_2x2,
@@ -38,7 +36,7 @@ from smoothschur.isospectral import _ShiftedScan, _grid_resolution
 from smoothschur.operator_core import _kernel_basis
 from smoothschur.pairs import _compressed_map
 
-from conftest import OVERLAP_FORMS, crandn, instance, overlap_instance
+from conftest import MIXED_FORMS, OVERLAP_FORMS, crandn, instance, overlap_instance, restricted_map, smallest_sv
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
 
@@ -122,7 +120,7 @@ class TestInverseFormulas:
         for i in range(18):
             self._assert_duality(*_pair_and_data(i, base_seed=67))
 
-    @pytest.mark.parametrize("form", OVERLAP_FORMS)
+    @pytest.mark.parametrize("form", [*OVERLAP_FORMS, *MIXED_FORMS])
     @pytest.mark.parametrize("n", [3, 8, 32])
     def test_overlap_duality(self, form, n):
         pair = build_pair(*overlap_instance(form, n, derived_seed(67, n), 0.3))
@@ -188,7 +186,7 @@ class TestKernelCorrespondence:
             assert kc.roundtrip_residual <= 1e-8
             assert kc.passed
 
-    @pytest.mark.parametrize("form", OVERLAP_FORMS)
+    @pytest.mark.parametrize("form", [*OVERLAP_FORMS, *MIXED_FORMS])
     @pytest.mark.parametrize("n, kd", [(3, 1), (8, 1), (8, 2), (32, 2)])
     def test_overlap_constructed_kernels(self, form, n, kd):
         H, T, partition = overlap_instance(form, n, derived_seed(73, n, kd), 0.2, kernel_dim=kd)
@@ -202,8 +200,6 @@ class TestKernelCorrespondence:
         assert got == pytest.approx(_kernel_residuals_by_vector(pair, data), rel=1e-12,
                                     abs=64 * np.finfo(float).eps)
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the rank cutoff of F C is relative to ||F C|| "
-                       "itself, so an F C that is numerically zero counts as full rank")
     @pytest.mark.parametrize("form", OVERLAP_FORMS)
     def test_kernel_filling_ran_chi(self, form):
         # dim ker H = dim ran(chi) = 2: ker F contains all of ran(chi), so F C
@@ -435,7 +431,7 @@ class TestSpectralScan:
         assert result.pair_valid[grid.index(3.0)] is False
         self._assert_matches_reference(inst.H, inst.T, inst.partition, grid, result)
 
-    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
+    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_per_point_reference(self, kind, dim):
         H, T, partition, grid = _reference_instance(kind, dim)
@@ -445,7 +441,7 @@ class TestSpectralScan:
         assert any(0.1 <= m <= 10 for m in margins)
         assert any(m < 0.1 for m in margins)
 
-    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
+    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
     def test_blocks_are_the_pairs_compressed_map(self, kind):
         H, T, partition, _ = _reference_instance(kind, 8)
         pair = build_pair(H, T, partition)

@@ -16,12 +16,11 @@ from smoothschur import (
     numerical_rank,
     op_norm,
     restricted_inverse,
-    restricted_map,
 )
 from smoothschur.errors import NonFiniteMatrixError, SubspaceLeakError
-from smoothschur.operator_core import BOUND_NOTE, _fix_gauge, norm_gate
+from smoothschur.operator_core import BOUND_NOTE, _compress, _fix_gauge, _kernel_basis, norm_gate
 
-from conftest import crandn
+from conftest import crandn, restricted_map
 
 
 class TestOpNorm:
@@ -140,6 +139,70 @@ def test_kernel_basis_matches_full_svd(rows, cols, seed, ratio, planted, exponen
     assert np.array_equal(K.basis, want)
 
 
+@pytest.mark.parametrize("anchor", ["identity", "ones"])
+def test_anchored_kernel_cutoff_takes_the_exact_norm_inside_the_bracket(anchor):
+    """A rank cutoff anchored to ||F|| = 1 is decided from norm_bounds(F)
+    where no singular value lies between the bracket's cutoffs, and from the
+    exact norm where one does.  At n = 16 the bracket is [1, 4] for F = 1,
+    whose norm is its lower end, and [1/4, 1] for F = ones / n, whose norm
+    is its upper end."""
+    n, tol = 16, Tolerances()
+    F = np.eye(n) if anchor == "identity" else np.ones((n, n)) / n
+    cutoff = tol.rank_rel * n
+    for ratio, dim in ((0.1, 1), (0.5, 1), (2.0, 0), (8.0, 0)):
+        A = np.diag([1.0] * (n - 1) + [ratio * cutoff]).astype(complex)
+        K = _kernel_basis(A, np.linalg.svd(A, compute_uv=False), tol, anchor=F)
+        assert K.dim == dim, ratio
+
+
+def _column_space_reference(M, tol=Tolerances()):
+    """The basis column_space took from the full SVD alone, before it
+    returned the identity basis for a full column space."""
+    A = np.asarray(M, dtype=complex)
+    u, s, _ = np.linalg.svd(A)
+    rank = int(np.sum(s > tol.rank_rel * s[0] * max(A.shape)))
+    return _fix_gauge(u[:, :rank])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 10**6),
+    ratio=st.one_of(
+        st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        st.sampled_from([1 - 1e-6, 1 + 1e-9, 1 + 1e-6, 1 + 3e-5, 1 + 1e-4]),
+    ),
+    planted=st.integers(0, 2),
+    exponent=st.integers(-100, 100),
+    hermitian=st.booleans(),
+)
+def test_column_space_matches_full_svd(n, seed, ratio, planted, exponent, hermitian):
+    """A Hermitian or non-normal square matrix with singular values 1, then
+    uniform in [0.1, 1], then one at ratio times the rank cutoff, then
+    `planted` exact zeros: a full column space has exactly the identity
+    basis, and any other the full SVD's basis, bit for bit."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.1, 1.0, n)
+    s[0] = 1.0
+    zeros = min(planted, n - 1)
+    if n - zeros > 1:
+        s[n - zeros - 1] = ratio * 1e-10 * n
+    s[n - zeros:] = 0.0
+    U = _orthonormal(rng, n, n, False)
+    if hermitian:
+        M = (U * (s * rng.choice([-1.0, 1.0], n))) @ U.conj().T
+        M = (M + M.conj().T) / 2
+    else:
+        M = (U * s) @ _orthonormal(rng, n, n, False).conj().T
+    M *= 10.0**exponent
+    C = column_space(M)
+    want = _column_space_reference(M)
+    if want.shape[1] == n:
+        assert C.is_identity and np.array_equal(C.basis, np.eye(n))
+    else:
+        assert not C.is_identity and np.array_equal(C.basis, want)
+
+
 class TestColumnSpace:
     def test_coordinate_projection(self):
         C = column_space(np.diag([1.0, 0.0]))
@@ -156,17 +219,24 @@ class TestColumnSpace:
 
 
 class TestRestrictedMap:
+    """_compress: the compression of A to V and its leak residual."""
+
+    @staticmethod
+    def _map(A, V):
+        coords, residual = _compress(A, V)
+        return coords, op_norm(residual)
+
     def test_identity_any_subspace(self):
         rng = np.random.default_rng(0)
         B, _ = np.linalg.qr(crandn(rng, 5, 2))
         V = Subspace(5, B)
-        coords, leak = restricted_map(np.eye(5), V)
+        coords, leak = self._map(np.eye(5), V)
         assert np.allclose(coords, np.eye(2))
         assert leak == pytest.approx(0.0, abs=1e-14)
 
     def test_invariant_axis(self):
         V = Subspace(2, np.array([[0.0], [1.0]], dtype=complex))
-        coords, leak = restricted_map(np.diag([2.0, 3.0]), V)
+        coords, leak = self._map(np.diag([2.0, 3.0]), V)
         assert coords == pytest.approx(np.array([[3.0]]))
         assert leak == pytest.approx(0.0, abs=1e-15)
 
@@ -174,10 +244,23 @@ class TestRestrictedMap:
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
         e2 = Subspace(2, np.array([[0.0], [1.0]], dtype=complex))
-        coords1, leak1 = restricted_map(A, e1)
+        coords1, leak1 = self._map(A, e1)
         assert coords1 == pytest.approx(np.zeros((1, 1))) and leak1 == pytest.approx(0.0)
-        coords2, leak2 = restricted_map(A, e2)
+        coords2, leak2 = self._map(A, e2)
         assert coords2 == pytest.approx(np.zeros((1, 1))) and leak2 == pytest.approx(1.0)
+
+
+    def test_whole_space_leaks_nothing(self):
+        # the identity basis skips every product: the compression is A
+        # itself and its residual an empty matrix
+        A = crandn(np.random.default_rng(2), 4)
+        V = Subspace.full(4)
+        X = np.ones((4, 2))
+        assert V.is_identity and all(f(X) is X for f in (V.coords, V.lift, V.restrict))
+        coords, residual = _compress(A, V)
+        assert coords is A and residual.size == 0 and op_norm(residual) == 0.0
+        assert V.off(X).shape == (0, 2)
+        assert not Subspace(4, np.eye(4)[:, ::-1].astype(complex)).is_identity
 
 
 class TestRestrictedInverse:

@@ -13,6 +13,7 @@ from smoothschur import (
     Partition,
     ReductionStageError,
     SmoothSchurError,
+    Subspace,
     Tolerances,
     admissible_subspace_check,
     build_pair,
@@ -26,7 +27,6 @@ from smoothschur import (
     neumann_inverse,
     op_norm,
     restricted_inverse,
-    restricted_map,
     spectral_scan,
     sufficient_conditions,
     validate_partition,
@@ -36,11 +36,11 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur import partition as partition_module
-from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate
+from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate, random_unitary
 from smoothschur.errors import SubspaceLeakError
 from smoothschur.operator_core import BOUND_NOTE, rel_threshold
 
-from conftest import KINDS, OVERLAP_FORMS, crandn, instance
+from conftest import KINDS, MIXED_FORMS, OVERLAP_FORMS, crandn, instance, restricted_map
 
 
 @pytest.fixture
@@ -320,7 +320,7 @@ def _reference_map(pair):
     return FeshbachData(F=F, Q=chi - cross, Q_sharp=Q_sharp), G, T_inv
 
 
-@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS])
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
 @pytest.mark.parametrize("n", [2, 8, 64])
 @pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
 def test_block_solves_match_inverse_formulas(kind, n, scale):
@@ -342,6 +342,42 @@ def test_block_solves_match_inverse_formulas(kind, n, scale):
 
     assert verdicts(data) == verdicts(ref)
     assert all(passed for _, passed in verdicts(data))
+
+
+def _rotated(partition, rng):
+    """A copy of the partition whose whole-space ranges carry a random
+    unitary basis in place of the identity."""
+    twin = validate_partition(partition.chi, partition.chibar, partition.tol)
+    for name in ("ran_chi", "ran_chibar"):
+        V = getattr(partition, name)
+        if V.is_identity:
+            vars(twin)[name] = Subspace(V.ambient_dim, random_unitary(rng, V.ambient_dim))
+    return twin
+
+
+@pytest.mark.parametrize("kind", ["smooth", "nonselfadjoint", *MIXED_FORMS])
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("scale", [0.1, 0.45])
+def test_identity_basis_matches_a_rotated_basis(kind, n, scale):
+    """F does not depend on the basis of either range: the identity basis and
+    a random unitary basis of the same whole-space range give the same
+    verdicts, and F, Q and Q_sharp within rounding."""
+    H, T, partition = instance(kind, n, derived_seed(107, n), scale)
+    twin = _rotated(partition, np.random.default_rng(n))
+    assert any(not V.is_identity and V.dim == n for V in (twin.ran_chi, twin.ran_chibar))
+    outcomes = []
+    for part in (partition, twin):
+        pair = build_pair(H, T, part)
+        data = feshbach_map(pair)
+        reports = (pair.evidence, sufficient_conditions(pair), verify_basics(pair, data),
+                   verify_resolvent(pair), verify_alt_remark(pair, data))
+        kc = kernel_correspondence(pair, data)
+        verdicts = [(e.label, e.passed) for r in reports for e in r]
+        outcomes.append((data, verdicts, (kc.dim_ker_H, kc.dim_ker_F, kc.passed)))
+    (got, *verdicts), (want, *rotated) = outcomes
+    assert verdicts == rotated
+    for a, b in ((got.F, want.F), (got.Q, want.Q), (got.Q_sharp, want.Q_sharp)):
+        assert np.linalg.norm(a - b) <= 1e-14 * (1 + np.linalg.norm(b))
 
 
 def _near_gate_pairs():

@@ -26,7 +26,7 @@ from smoothschur import (
 
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular
 
-from conftest import KINDS, OVERLAP_FORMS, crandn, overlap_instance
+from conftest import KINDS, MIXED_FORMS, OVERLAP_FORMS, crandn, overlap_instance
 
 
 class TestValidatePartition:
@@ -325,6 +325,26 @@ class TestRangeOwnership:
         spectral_scan(inst.H, inst.T, inst.partition, grid)
         assert len(taken) == 2 and True not in full_svds
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_full_ranges_take_no_full_svd(self, monkeypatch, kind):
+        # smooth and nonselfadjoint ranges are the whole space, which the
+        # singular values alone decide; a sharp range takes one full SVD
+        inst = generate(InstanceSpec(dim=8, partition_kind=kind, seed=derived_seed(41, 8)))
+        partition = validate_partition(inst.partition.chi, inst.partition.chibar)
+        full_svds = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                full_svds.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        ranges = partition.ran_chi, partition.ran_chibar
+        for M, V in zip((partition.chi, partition.chibar), ranges):
+            assert sum(a is M for a in full_svds) == (kind == "sharp")
+            assert V.is_identity == (kind != "sharp") == (V.dim == 8)
+
     @pytest.mark.parametrize("form", OVERLAP_FORMS)
     def test_pair_forwards_the_partitions_ranges(self, form):
         H, T, partition = overlap_instance(form, 8, derived_seed(31, 8))
@@ -341,3 +361,15 @@ def test_overlap_builder_reaches_the_overlapping_regime(form, n):
     m, k = partition.ran_chi.dim, partition.ran_chibar.dim
     assert m < n and k < n and m + k > n
     assert partition.evidence.passed
+
+
+@pytest.mark.parametrize("form", MIXED_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_mixed_builder_has_one_full_range(form, n):
+    # one range is the whole space, with the identity basis; the other is proper
+    _, _, partition = overlap_instance(form, n, derived_seed(37, n))
+    full, proper = partition.ran_chi, partition.ran_chibar
+    if form == "mixed-chibar-full":
+        full, proper = proper, full
+    assert full.is_identity and full.dim == n
+    assert 0 < proper.dim < n and not proper.is_identity
