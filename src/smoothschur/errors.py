@@ -82,8 +82,9 @@ class ReductionStageError(SmoothSchurError):
 
 
 class EmptyGridError(SmoothSchurError):
-    """A spectral scan was requested on an empty grid, or on one with a
-    non-finite point."""
+    """A spectral scan was requested on an empty grid, on one with a
+    non-finite point, or on one with an entry that is not a number (the
+    message names it)."""
 
 
 class MatrixFileError(SmoothSchurError):

@@ -282,6 +282,12 @@ class _ShiftedScan:
     exact verdict.  Each block M also gets one _EigenCertificate, a lower
     bound on sigma_min(M - lam B*B) at O(k) per shift, so the SVD decides
     the rank test only where the bound leaves it open (see spectral_scan).
+    points batches the k x k solves and the m x m SVDs of F_c over the
+    shifts; the shape of the blocks picks closed forms where a range is
+    one-dimensional: with k = 1, (K - lam)^-1 R is a quotient, and with
+    m = 1, sigma_min(F_c) is |F_c|.  F_c is formed with floating-point
+    errors ignored, so one that overflows is non-finite, a gap, and warns
+    of nothing.
     """
 
     def __init__(self, H, T, partition: Partition):
@@ -318,10 +324,19 @@ class _ShiftedScan:
             idx, shifted = idx[keep], shifted[keep]
         # shifted is K - lam, the last block, at the points still valid
         shift = lams[idx, None, None]
-        right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
-        Fc = self.F0 - shift * self.gram_C - self.left @ np.linalg.solve(shifted, right)
-        finite = np.isfinite(Fc).all(axis=(1, 2))
-        sv[idx[finite]] = np.linalg.svd(Fc[finite], compute_uv=False)[:, -1]
+        with np.errstate(all="ignore"):
+            if shifted.shape[-1] == 1:  # k = 1: (K - lam)^-1 R is a quotient
+                solved = self.right / shifted
+            else:
+                right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
+                solved = np.linalg.solve(shifted, right)
+            Fc = self.F0 - shift * self.gram_C - self.left @ solved
+            finite = np.isfinite(Fc).all(axis=(1, 2))
+            Fc = Fc[finite]
+            if Fc.shape[-1] == 1:  # m = 1: sigma_min(F_c) is |F_c|
+                sv[idx[finite]] = np.abs(Fc[:, 0, 0])
+            else:
+                sv[idx[finite]] = np.linalg.svd(Fc, compute_uv=False)[:, -1]
         return sv, ~np.isnan(sv)
 
     def _within_thresholds(self, A, off_diag_sq, checks, lams) -> np.ndarray:
@@ -364,6 +379,39 @@ class _ShiftedScan:
         return ok
 
 
+def _grid_points(grid) -> np.ndarray:
+    """The grid as a 1-d complex array, each entry at complex(entry).
+
+    A grid of numbers (bool, integer, real or complex) converts in one call.
+    Any other grid, a list with strings or other objects that complex()
+    takes or an iterator, converts one entry at a time, and EmptyGridError
+    names the first entry complex() rejects.  A grid that converts to more
+    than one dimension (an entry that is itself a sequence) is rejected too.
+    """
+    try:
+        points = np.asarray(grid)
+    except (TypeError, ValueError, OverflowError):
+        points = None
+    if points is not None and points.dtype.kind in "biufc":
+        if points.ndim == 1:
+            return points.astype(complex, copy=False)
+        if points.ndim > 1 and points.shape[0]:
+            raise EmptyGridError(
+                f"spectral scan grid entry {next(iter(grid))!r} is not a number: the grid has shape {points.shape}"
+            )
+    try:
+        entries = iter(grid)
+    except TypeError as exc:
+        raise EmptyGridError(f"spectral scan grid {grid!r} is not a sequence of numbers") from exc
+    lams = []
+    for z in entries:
+        try:
+            lams.append(complex(z))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise EmptyGridError(f"spectral scan grid entry {z!r} is not a number: {exc}") from exc
+    return np.array(lams, dtype=complex)
+
+
 def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
     record the smallest singular value of F(lambda) compressed to ran(chi).
@@ -396,20 +444,26 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     ill-conditioned) reach the SVD, and every verdict is the SVD's.
     The grid runs in chunks sized from n, k and m so that each stacked
     array stays within about 256 KB however long the grid (one point per
-    chunk once a single k x k block is larger).
+    chunk once a single k x k block is larger).  Each chunk takes O(1)
+    NumPy calls: the k x k solves and the m x m SVDs of F_c are batched,
+    and where k = 1 or m = 1 they are the closed forms (K - lambda)^-1 R =
+    R / (K - lambda) and sigma_min(F_c) = |F_c|.  A point where F_c
+    overflows is a gap.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
-    flagged.  Raises EmptyGridError when the grid is empty or has a
-    non-finite point, and DimensionMismatchError when H or T does not match
-    the partition.
+    flagged, visiting only the points below that cutoff.  The grid is
+    converted once (_grid_points), each entry at complex(entry).  Raises
+    EmptyGridError when the grid is empty, has a non-finite point or an
+    entry that is not a number, or is not one-dimensional, and
+    DimensionMismatchError when H or T does not match the partition.
     """
     H = as_matrix(H)
     T = as_matrix(T)
-    grid = [complex(z) for z in grid]
+    lams = _grid_points(grid)
+    grid = lams.tolist()
     if not grid:
         raise EmptyGridError("spectral scan requires a nonempty grid")
-    lams = np.array(grid, dtype=complex)
     finite = np.isfinite(lams)
     if not finite.all():
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
@@ -419,15 +473,14 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     for start in range(0, len(grid), scan.chunk):
         part = slice(start, start + scan.chunk)
         svs[part], valid[part] = scan.points(lams[part])
-    svs = svs.tolist()
-    valid = valid.tolist()
 
     resolution = _grid_resolution(lams)
     cut = _FLAG_SCALE * resolution * (1.0 + op_norm(H))
+    dips = np.flatnonzero(valid & (svs <= cut)).tolist()
+    svs = svs.tolist()
+    valid = valid.tolist()
     flagged = []
-    for i, lam in enumerate(grid):
-        if not valid[i] or not (svs[i] <= cut):
-            continue
+    for i in dips:
         left = svs[i - 1] if i > 0 and valid[i - 1] else None
         right = svs[i + 1] if i + 1 < len(grid) and valid[i + 1] else None
         # local minimum of the dip; strict on the left to break plateau ties
@@ -439,7 +492,7 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
         finite = [x for x in (left, right) if x is not None]
         if finite and svs[i] > 0.5 * max(finite):
             continue
-        flagged.append(lam)
+        flagged.append(grid[i])
 
     reference = [complex(z) for z in np.linalg.eigvals(H)]
     return ScanResult(

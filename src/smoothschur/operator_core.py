@@ -288,21 +288,40 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return _kernel_basis(A, np.linalg.svd(A, compute_uv=False) if rows >= cols else None, tol)
 
 
+def _anchor_bracket(anchor, shape: tuple, tol: Tolerances) -> tuple[float, float]:
+    """(lo, hi) around the anchored rank cutoff rank_rel ||anchor|| max(shape)
+    of a matrix of this shape, from norm_bounds(anchor)."""
+    return tuple(tol.rank_rel * b * max(shape) for b in norm_bounds(anchor))
+
+
+def _anchored_cutoff(s: np.ndarray, anchor, shape: tuple, tol: Tolerances, bracket=None) -> float:
+    """A rank cutoff that decides s > cutoff, for each of the singular values
+    s of a matrix of this shape, as the anchored cutoff rank_rel ||anchor||
+    max(shape) does.  That is the bracket's upper end (_anchor_bracket,
+    unless given) when no value falls between its two ends, and otherwise
+    the exact cutoff, from op_norm(anchor)."""
+    lo, hi = bracket or _anchor_bracket(anchor, shape, tol)
+    if np.any((s > lo) & (s <= hi)):
+        return tol.rank_rel * op_norm(anchor) * max(shape)
+    return hi
+
+
 def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=None) -> Subspace:
     """kernel_basis of a nonempty A, given its singular values s when it has
     rows >= cols (None otherwise).  With an anchor the rank cutoff is
     rank_rel max(shape) ||anchor||, not relative to A's own largest singular
     value; ||anchor|| comes from norm_bounds, and exactly only when a
     singular value of A falls between the bracket's two cutoffs."""
-    cols, scale = A.shape[1], tol.rank_rel * max(A.shape)
-    bracket = None if anchor is None else [scale * b for b in norm_bounds(anchor)]
+    cols = A.shape[1]
+    bracket = None if anchor is None else _anchor_bracket(anchor, A.shape, tol)
     if s is not None and _clears(s, A.shape, bracket[1] if bracket else _rank_cutoff(s, A.shape, tol)):
         return Subspace.empty(cols)
     _, s, vh = np.linalg.svd(A)
-    lo, hi = bracket or [_rank_cutoff(s, A.shape, tol)] * 2
-    rank = int(np.sum(s > hi))
-    if rank != np.sum(s > lo):
-        rank = int(np.sum(s > scale * op_norm(anchor)))
+    if anchor is None:
+        cutoff = _rank_cutoff(s, A.shape, tol)
+    else:
+        cutoff = _anchored_cutoff(s, anchor, A.shape, tol, bracket)
+    rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj().T  # cols - rank columns, padded rows of vh included
     return Subspace(cols, _fix_gauge(null))
 
@@ -343,19 +362,24 @@ def _compress(A, V: Subspace):
     return coords, AB - V.lift(coords)
 
 
-def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Tolerances):
+def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Tolerances, anchor=None):
     """Gate a compression whose leak was decided against threshold (by
     rel_gate): raise SubspaceLeakError when leak > threshold,
     SingularRestrictionError when the smallest singular value of coords is at
-    or below its rank cutoff.  Returns (smallest sv, largest sv, rank cutoff);
-    an empty block gives 0, 0, 0.
+    or below its rank cutoff.  The cutoff is relative to the largest singular
+    value of coords, or with an anchor the n x n operator that coords
+    compresses, rank_rel n ||anchor|| (_anchored_cutoff).  Returns (smallest
+    sv, largest sv, rank cutoff); an empty block gives 0, 0, 0.
     """
     if leak > threshold:
         raise SubspaceLeakError(leak, threshold)
     s = np.linalg.svd(coords, compute_uv=False)
     if not s.size:
         return 0.0, 0.0, 0.0
-    cutoff = _rank_cutoff(s, coords.shape, tol)
+    if anchor is None:
+        cutoff = _rank_cutoff(s, coords.shape, tol)
+    else:
+        cutoff = _anchored_cutoff(s[-1:], anchor, anchor.shape, tol)
     if s[-1] <= cutoff:
         raise SingularRestrictionError(
             f"compression singular on the subspace: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
@@ -368,11 +392,14 @@ def restricted_inverse(A, V: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndar
 
     Requires A to map V into V, its leak decided by rel_gate against
     rel_threshold(tol, ||A||), and the compression B^H A B to be numerically
-    invertible (see _gate_block).  The result G satisfies G A v = A G v = v
-    for v in V and G w = 0 for w orthogonal to V.
+    invertible: its smallest singular value above rank_rel n ||A|| (see
+    _gate_block), so a compression that is zero up to rounding is singular
+    however small V is.  For the whole space B^H A B is A, whose own cutoff
+    is that one.  The result G satisfies G A v = A G v = v for v in V and
+    G w = 0 for w orthogonal to V.
     """
     A = as_matrix(A)
     coords, residual = _compress(A, V)
     leak, threshold, _ = rel_gate(residual, (A,), tol)
-    _gate_block(coords, leak, threshold, tol)
+    _gate_block(coords, leak, threshold, tol, anchor=None if V.is_identity else A)
     return V.zero_extended_inverse(coords)

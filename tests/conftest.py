@@ -10,6 +10,7 @@ from smoothschur import (
     build_pair,
     make_commuting_T,
     make_nonselfadjoint,
+    make_sharp,
     make_smooth_selfadjoint,
     op_norm,
     operator_core,
@@ -126,10 +127,25 @@ def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
     raise AssertionError(f"no well-conditioned {form} overlap draw at n={n}, seed={seed}")
 
 
+def corank_one_instance(n, seed, scale=0.1):
+    """(H, T, partition) with dim ran(chibar) = 1: chi the projection onto
+    the span of n - 1 columns of a random unitary U, T = U diag(t) U* for
+    complex t with Re t in [1, 2], and H = T + W with ||W|| = scale ||T||."""
+    rng = np.random.default_rng(seed)
+    U = random_unitary(rng, n)
+    chi = (U * np.r_[np.ones(n - 1), 0.0]) @ U.conj().T
+    T = (U * (rng.uniform(1.0, 2.0, n) + 1j * rng.uniform(-0.5, 0.5, n))) @ U.conj().T
+    W = crandn(rng, n)
+    return T + scale * op_norm(T) / op_norm(W) * W, T, make_sharp(chi)
+
+
 def instance(kind, n, seed, scale):
-    """(H, T, partition): generate's instance for a kind in KINDS, or
-    overlap_instance's for a form in OVERLAP_FORMS or MIXED_FORMS."""
+    """(H, T, partition): generate's instance for a kind in KINDS,
+    overlap_instance's for a form in OVERLAP_FORMS or MIXED_FORMS, or
+    corank_one_instance's for "corank-one"."""
     if kind in _SPECTRUM:
         return overlap_instance(kind, n, seed, scale)
+    if kind == "corank-one":
+        return corank_one_instance(n, seed, scale)
     inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=seed))
     return inst.H, inst.T, inst.partition

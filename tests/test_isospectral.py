@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +101,16 @@ class TestInverseFormulas:
         data = feshbach_map(pair)
         with pytest.raises(EffectiveOperatorSingularError):
             invert_H_via_F(pair, data, column_space(pair.chi))
+
+    def test_zero_compression_on_ran_chi_is_singular(self):
+        # m = 1 and H singular: C*FC is about 5e-15 against ||F|| of order 1,
+        # zero up to rounding, though it is all of its own 1 x 1 spectrum
+        inst = generate_singular(InstanceSpec(3, "sharp", 0.2, derived_seed(9, 3, 1)), 1)
+        pair = build_pair(inst.H, inst.T, inst.partition)
+        data = feshbach_map(pair)
+        assert pair.ran_chi.dim == 1
+        with pytest.raises(EffectiveOperatorSingularError):
+            invert_H_via_F(pair, data, pair.ran_chi)
 
     def test_worked_2x2_effective_inverse(self):
         inst = worked_2x2()
@@ -384,6 +397,32 @@ class TestSpectralScan:
             with pytest.raises(EmptyGridError, match="non-finite"):
                 spectral_scan(inst.H, inst.T, inst.partition, [1.0, 2.0, bad, 4.5])
 
+    def test_grid_entries_that_are_not_numbers(self):
+        inst = worked_2x2()
+        for bad in ("a", None, [1, 2], b"1", 10**400, np.array([1.0])):
+            with pytest.raises(EmptyGridError, match=re.escape(repr(bad))):
+                spectral_scan(inst.H, inst.T, inst.partition, [1.0, bad, 4.5])
+        for grid in ([[1, 2], [3, 4]], np.ones((3, 1)), [[]]):
+            with pytest.raises(EmptyGridError, match=rf"{re.escape(repr(grid[0]))}.*shape"):
+                spectral_scan(inst.H, inst.T, inst.partition, grid)
+        with pytest.raises(EmptyGridError, match="not a sequence"):
+            spectral_scan(inst.H, inst.T, inst.partition, 2.5)
+
+    def test_grid_entries_keep_their_values(self):
+        # each entry is at complex(entry), whether the grid converts in one
+        # call or entry by entry
+        inst = worked_2x2()
+        grids = [
+            ["1+2j", True, np.float32(0.1), np.int64(4), 2.5, 1j],
+            [True, np.float32(0.1), np.int64(4), 2**60 + 1, 2.5, 1j],
+            np.array([0.5, 2.0], dtype=np.float16),
+            "12",
+        ]
+        for grid in grids:
+            want = [complex(z) for z in grid]
+            assert spectral_scan(inst.H, inst.T, inst.partition, grid).grid == want
+        assert spectral_scan(inst.H, inst.T, inst.partition, (z for z in want)).grid == want
+
     def test_scan_bracket_slack_comes_from_operator_core(self):
         from smoothschur import isospectral, operator_core
 
@@ -461,6 +500,63 @@ class TestSpectralScan:
         result = spectral_scan(H, T, partition, far)
         assert all(result.pair_valid)
         assert stacked_svds[0] == len(far)
+
+    @pytest.mark.parametrize("kind, n", [("sharp", 2), ("sharp", 3), ("corank-one", 3), ("corank-one", 8)])
+    def test_one_dimensional_ranges_match_per_point_reference(self, kind, n):
+        # m = 1 (sharp) or k = 1 (corank-one): sigma_min(F_c) is |F_c|, or
+        # (K - lam)^-1 R a quotient, on complex instances.  The first 15
+        # shifts cross the spectrum; the rest come within a few rank cutoffs
+        # of a chibar-block eigenvalue, where F_c grows like 1 / (K - lam) and
+        # forming K another way moves it by eps ||K|| / |K - lam| relative,
+        # so only the verdicts are compared there
+        H, T, partition, grid = _reference_instance(kind, n)
+        assert 1 in (partition.ran_chi.dim, partition.ran_chibar.dim)
+        result = spectral_scan(H, T, partition, grid)
+        self._assert_matches_reference(H, T, partition, grid[:15], result)
+        for lam, ok in zip(grid[15:], result.pair_valid[15:]):
+            _, ref_ok, _, margin = _reference_point(H, T, partition, lam)
+            if not 0.1 <= margin <= 10:
+                assert ok == ref_ok, (lam, margin)
+
+    @pytest.mark.parametrize("kind, n", [("sharp", 2), ("sharp", 3), ("corank-one", 8)])
+    def test_one_dimensional_ranges_take_no_svd_or_solve(self, kind, n, stacked_svds, monkeypatch):
+        # away from every chibar-block eigenvalue the certificate decides both
+        # rank tests, so with m = 1 no stacked SVD is left, and with k = 1 no
+        # np.linalg.solve is taken
+        H, T, partition, grid = _reference_instance(kind, n)
+        m, k = partition.ran_chi.dim, partition.ran_chibar.dim
+        eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
+        far = [z for z in grid if np.abs(eigs - z).min() >= 1e-3]
+        assert len(far) >= 12
+        solves, solve = [0], np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            solves[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        stacked_svds[0] = 0
+        result = spectral_scan(H, T, partition, far)
+        assert all(result.pair_valid)
+        assert stacked_svds[0] == (0 if m == 1 else len(far))
+        assert (solves[0] == 0) == (k == 1)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2)], ids=["closed-forms", "solve-and-svd"])
+    def test_overflowing_effective_operator_is_a_gap(self, n, m):
+        # T = diag(2, 3, ...), chi the first m axes and W = 1e160 between
+        # ran(chi) and ran(chibar): each shifted pair is valid, but
+        # L (K - lam)^-1 R overflows, so F_c is not finite there
+        T = np.diag(np.arange(2.0, 2.0 + n)).astype(complex)
+        W = np.zeros((n, n), dtype=complex)
+        W[:m, m:] = W[m:, :m] = 1e160
+        partition = make_sharp(np.diag([1.0] * m + [0.0] * (n - m)))
+        grid = [0.5, 1.0 + 0.5j, 10.0]
+        build_pair(T + W - grid[0] * np.eye(n), T - grid[0] * np.eye(n), partition)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = spectral_scan(T + W, T, partition, grid)
+        assert result.pair_valid == [False] * len(grid)
+        assert all(np.isnan(result.f_smallest_sv))
 
     @pytest.mark.parametrize(
         "diagonal",
@@ -550,14 +646,19 @@ def _shift(draw, H, blocks):
     return complex(mu + 10 ** draw(st.floats(-3, 4)) * cutoff * np.exp(1j * draw(st.floats(0, 2 * np.pi))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(KINDS), n=st.integers(2, 8), seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from([*KINDS, *OVERLAP_FORMS, *MIXED_FORMS]),
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
 def test_scan_verdict_is_per_point_build_pair(kind, n, seed, data):
     """pair_valid is whether build_pair(H - lam, T - lam, partition) succeeds,
     wherever the chibar blocks' margin over their rank cutoffs lies outside
-    [0.1, 10] (within it either verdict is right, as in _reference_point)."""
-    inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=0.3, seed=seed))
-    H, T, partition = inst.H, inst.T, inst.partition
+    [0.1, 10] (within it either verdict is right, as in _reference_point),
+    for generated instances and both overlapping and mixed partitions."""
+    H, T, partition = instance(kind, n, seed, 0.3)
     lams = data.draw(st.lists(_shift(H, _chibar_blocks(H, T, partition)), min_size=1, max_size=4))
     result = spectral_scan(H, T, partition, lams)
     for lam, valid in zip(lams, result.pair_valid):

@@ -278,6 +278,27 @@ class TestRestrictedInverse:
         with pytest.raises(SingularRestrictionError):
             restricted_inverse(np.diag([0.0, 3.0]), V)
 
+    @pytest.mark.parametrize("rest", ["identity", "ones"])
+    def test_cutoff_is_anchored_to_the_operator(self, rest):
+        """On V = span(e0) the compression of A = a (+) R is the 1 x 1 block
+        a, which a cutoff relative to itself always passes.  The cutoff is
+        rank_rel n ||A||, decided from norm_bounds(A) where a lies outside the
+        bracket's cutoffs and from the exact norm where it lies inside.  At
+        n = 16, ||A|| = 1 is the lower end of the bracket for R = 1 and its
+        upper end for R = ones / (n - 1)."""
+        n, tol = 16, Tolerances()
+        R = np.eye(n - 1) if rest == "identity" else np.ones((n - 1, n - 1)) / (n - 1)
+        V = Subspace(n, np.eye(n, 1, dtype=complex))
+        cutoff = tol.rank_rel * n
+        for ratio, singular in ((0.1, True), (0.5, True), (2.0, False), (8.0, False)):
+            A = np.zeros((n, n), dtype=complex)
+            A[0, 0], A[1:, 1:] = ratio * cutoff, R
+            if singular:
+                with pytest.raises(SingularRestrictionError):
+                    restricted_inverse(A, V)
+            else:
+                assert restricted_inverse(A, V)[0, 0] == pytest.approx(1.0 / (ratio * cutoff))
+
     def test_vanishes_off_subspace(self):
         rng = np.random.default_rng(1)
         B, _ = np.linalg.qr(crandn(rng, 6, 3))
