@@ -207,6 +207,16 @@ _FLAG_SCALE = 10.0
 #: computed condition number is itself accurate within the slack.
 _CERT_SLACK = 1e-3
 
+#: The accuracy a scan keeps: each smallest singular value is within this
+#: times 1 + ||F(lam)|| of the one the per-point path (build_pair,
+#: feshbach_map) gives.
+_SCAN_ACCURACY = 1e-12
+
+#: The largest cond(V) at which a scan takes the pole form of (K - lam B*B)^-1
+#: (see _ShiftedScan): _SCAN_ACCURACY over the rounding _CERT_ROUNDING eps of
+#: one term of a k x k product or solve, about 560.
+_POLE_MAX_COND = _SCAN_ACCURACY / (_CERT_ROUNDING * np.finfo(float).eps)
+
 
 class _EigenCertificate(NamedTuple):
     """A lower bound on sigma_min(M - lam G) at every lam, from one
@@ -220,9 +230,11 @@ class _EigenCertificate(NamedTuple):
     argument; Trefethen & Embree, Spectra and Pseudospectra, 2005).  e and g
     include the rounding of R, of forming M - lam G and of its SVD, so a
     block whose bound clears the rank cutoff is one the SVD passes as well.
+    V is kept for the scan's pole form of (K - lam G)^-1.
     """
 
     w: np.ndarray
+    V: np.ndarray
     kappa: float
     e: float
     g: float
@@ -256,7 +268,7 @@ def _eigen_certificate(M: np.ndarray, G: np.ndarray) -> _EigenCertificate | None
     R = M @ V - V * w
     e = (np.linalg.norm(R) + rho * np.linalg.norm(M) * np.linalg.norm(V)) / s[-1]
     g = np.linalg.norm(G - np.eye(k)) + rho * np.linalg.norm(G)
-    return _EigenCertificate(w, s[0] / s[-1], e, g)
+    return _EigenCertificate(w, V, s[0] / s[-1], e, g)
 
 
 def _off_diagonal_sq(A: np.ndarray) -> float:
@@ -271,23 +283,63 @@ class _ShiftedScan:
 
     A common shift leaves W, both commutation residuals and both leaks off
     ran(chibar) unchanged; only the k x k blocks of T and H_chibar move, by
-    -lam B*B, and F0 by -lam C*C.  Everything else is computed once, by the
-    _shift_invariants that build_pair uses (which raises
-    BlockInvertibilityError when ran(chibar), and so ran(chi), is
-    numerically empty) and by _compressed_map.  A range that is the whole
-    space has the identity basis: its Gram matrix is the identity, nothing
-    leaks off it, and no product with the basis is formed.  The exact norms
-    of the commutation and leak residuals are taken once per scan, where
-    build_pair decides the same gates from norm brackets; both reach the
-    exact verdict.  Each block M also gets one _EigenCertificate, a lower
-    bound on sigma_min(M - lam B*B) at O(k) per shift, so the SVD decides
-    the rank test only where the bound leaves it open (see spectral_scan).
-    points batches the k x k solves and the m x m SVDs of F_c over the
-    shifts; the shape of the blocks picks closed forms where a range is
-    one-dimensional: with k = 1, (K - lam)^-1 R is a quotient, and with
-    m = 1, sigma_min(F_c) is |F_c|.  F_c is formed with floating-point
-    errors ignored, so one that overflows is non-finite, a gap, and warns
-    of nothing.
+    -lam G for the Gram matrix G = B*B of the basis B of ran(chibar), and F0
+    by -lam C*C.  Everything else is computed once, by the _shift_invariants
+    that build_pair uses (which raises BlockInvertibilityError when
+    ran(chibar), and so ran(chi), is numerically empty) and by
+    _compressed_map.  A range that is the whole space has the identity
+    basis: its Gram matrix is the identity, nothing leaks off it, and no
+    product with the basis is formed.  The exact norms of the commutation
+    and leak residuals are taken once per scan, where build_pair decides the
+    same gates from norm brackets; both reach the exact verdict.  Each block
+    M also gets one _EigenCertificate, a lower bound on sigma_min(M - lam G)
+    at O(k) per shift, so the SVD decides the rank test only where the bound
+    leaves it open (see spectral_scan).
+
+    The coupling term of F_c(lam) = F0 - lam C*C - L (K - lam G)^-1 R is a
+    rational function of lam with its poles at the eigenvalues w of K.  From
+    the certificate's K = V diag(w) V^-1 it is taken in pole form,
+
+        L (K - lam)^-1 R = (L V) diag(1 / (w - lam)) (V^-1 R),
+
+    with L V and V^-1 R formed once per scan, so a point costs one k x m
+    scaling and one product and no solve.  With k = 1, V = [[1]] and this
+    is the quotient L R / (K - lam).  The batched solve of (K - lam G) X = R
+    is kept where K has no certificate (eig failed, or V is singular or too
+    ill-conditioned for it), or where the pole form could miss the scan's
+    accuracy:
+
+    - Both forms return the coupling of a block near K - lam G.  The solve
+      is backward stable: its block is within rho ||K - lam G|| of it, for
+      rho = _CERT_ROUNDING k eps.  The pole form's block is
+      V diag(w) V^-1 - lam, within e + |lam| ||G - 1|| of it, with e the
+      certificate's, at most about rho cond(V) ||K||; its products through V
+      and V^-1 add about rho cond(V) ||K - lam G|| more.  The pole form
+      requires ||G - 1||_F <= rho, so that lam (G - 1) is within the
+      rounding of forming K - lam G.  G is the identity for the identity
+      basis; for the other bases column_space gives, ||G - 1||_F was at
+      most 0.4 rho on the test instances.
+    - To first order a block moved by d moves the coupling, and so
+      sigma_min(F_c), by at most ||L|| ||R|| ||X||^2 ||d||, X = (K - lam G)^-1.
+      The two forms' m x m SVDs of F_c round at _CERT_ROUNDING m eps ||F_c||
+      each.  So at every valid point
+
+          |sigma_pole - sigma_solve| <= 4 rho cond(V) (||K|| + |lam| ||G||) ||L|| ||R|| ||X||^2
+                                        + 2 _CERT_ROUNDING m eps ||F_c||:
+
+      the pole form's error bound is the solve's, with rho multiplied by
+      about cond(V).
+    - The scan keeps each sigma within _SCAN_ACCURACY (1 + ||F||) of the
+      per-point path, a contract that does not grow with k.  It leaves the
+      factor _SCAN_ACCURACY / (_CERT_ROUNDING eps), about 560, over the
+      rounding of one of the k terms that each entry of a k x k product or
+      solve sums, and the solve and the pole form sum them alike.  The pole
+      form is taken where cond(V) <= _POLE_MAX_COND, that factor, and
+      ||G - 1||_F <= rho.
+
+    points batches the m x m SVDs of F_c over the shifts (sigma_min(F_c) is
+    |F_c| where m = 1).  F_c is formed with floating-point errors ignored,
+    so one that overflows is non-finite, a gap, and warns of nothing.
     """
 
     def __init__(self, H, T, partition: Partition):
@@ -308,9 +360,22 @@ class _ShiftedScan:
         self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
         self.tol = partition.tol
         self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
+        self.poles = self._pole_form(self.certificates[1])
         self.n = partition.dim
         k, m = B.dim, partition.ran_chi.dim
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
+
+    def _pole_form(self, certificate: _EigenCertificate | None):
+        """(w, L V, V^-1 R) from the certificate of K, or None where the
+        batched solve is kept: no certificate, cond(V) > _POLE_MAX_COND or
+        ||G - 1||_F > rho."""
+        if certificate is None or certificate.kappa > _POLE_MAX_COND:
+            return None
+        k = len(certificate.w)
+        if np.linalg.norm(self.gram_B - np.eye(k)) > _CERT_ROUNDING * k * np.finfo(float).eps:
+            return None
+        with np.errstate(all="ignore"):
+            return certificate.w, self.left @ certificate.V, np.linalg.solve(certificate.V, self.right)
 
     def points(self, lams: np.ndarray):
         """(smallest sv of F_c, pair valid) at each finite shift in lams."""
@@ -322,15 +387,16 @@ class _ShiftedScan:
             shifted = block - lams[idx, None, None] * self.gram_B
             keep = self._nonsingular(shifted, certificate, lams[idx])
             idx, shifted = idx[keep], shifted[keep]
-        # shifted is K - lam, the last block, at the points still valid
+        # shifted is K - lam G, the last block, at the points still valid
         shift = lams[idx, None, None]
         with np.errstate(all="ignore"):
-            if shifted.shape[-1] == 1:  # k = 1: (K - lam)^-1 R is a quotient
-                solved = self.right / shifted
-            else:
+            if self.poles is None:
                 right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
-                solved = np.linalg.solve(shifted, right)
-            Fc = self.F0 - shift * self.gram_C - self.left @ solved
+                coupling = self.left @ np.linalg.solve(shifted, right)
+            else:
+                w, left, right = self.poles
+                coupling = left @ (right / (w[:, None] - shift))
+            Fc = self.F0 - shift * self.gram_C - coupling
             finite = np.isfinite(Fc).all(axis=(1, 2))
             Fc = Fc[finite]
             if Fc.shape[-1] == 1:  # m = 1: sigma_min(F_c) is |F_c|
@@ -418,7 +484,7 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
 
     Shifting H and T together changes only the k x k compressions of T and
     H_chibar to ran(chibar), so everything else is computed once per scan
-    and each point costs k x k and k x m work for m = dim ran(chi):
+    and each point costs k x k, k x m and m x m work for m = dim ran(chi):
 
         F_c(lambda) = C*H_chi C - lambda C*C
                       - (C*chi W chibar B) (K - lambda)^-1 (B*chibar W chi C),
@@ -445,10 +511,17 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     The grid runs in chunks sized from n, k and m so that each stacked
     array stays within about 256 KB however long the grid (one point per
     chunk once a single k x k block is larger).  Each chunk takes O(1)
-    NumPy calls: the k x k solves and the m x m SVDs of F_c are batched,
-    and where k = 1 or m = 1 they are the closed forms (K - lambda)^-1 R =
-    R / (K - lambda) and sigma_min(F_c) = |F_c|.  A point where F_c
-    overflows is a gap.
+    NumPy calls.  The coupling term is taken in pole form, from the
+    eigendecomposition K = V diag(w) V^-1 that the rank test already takes:
+
+        (C*chi W chibar B V) diag(1 / (w - lambda)) (V^-1 B*chibar W chi C),
+
+    its two outer factors formed once per scan, so no point takes a k x k
+    solve.  The batched solve of (K - lambda B*B) X = R replaces it where V
+    is singular or too ill-conditioned for the pole form to keep the scan's
+    accuracy (see _ShiftedScan, which states the bound).  The m x m SVDs of
+    F_c are batched, and where m = 1 they are the closed form
+    sigma_min(F_c) = |F_c|.  A point where F_c overflows is a gap.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are

@@ -35,8 +35,8 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
-from smoothschur.isospectral import _ShiftedScan, _grid_resolution
-from smoothschur.operator_core import _kernel_basis
+from smoothschur.isospectral import _POLE_MAX_COND, _ShiftedScan, _grid_resolution
+from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
 from smoothschur.pairs import _compressed_map
 
 from conftest import MIXED_FORMS, OVERLAP_FORMS, crandn, instance, overlap_instance, restricted_map, smallest_sv
@@ -342,20 +342,58 @@ def _reference_instance(kind, dim):
     return H, T, partition, grid
 
 
-@pytest.fixture
-def stacked_svds(monkeypatch):
-    """A one-item list counting the matrices passed to np.linalg.svd in
-    stacks; only spectral_scan batches its SVDs over grid points."""
+def _stacked_counter(monkeypatch, name):
+    """A one-item list counting the matrices passed to np.linalg.<name> in
+    stacks; only spectral_scan batches its SVDs and solves over grid points."""
     count = [0]
-    svd = np.linalg.svd
+    original = getattr(np.linalg, name)
 
-    def counting_svd(a, *args, **kwargs):
+    def counting(a, *args, **kwargs):
         if np.ndim(a) == 3:
             count[0] += len(a)
-        return svd(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, name, counting)
     return count
+
+
+@pytest.fixture
+def stacked_svds(monkeypatch):
+    return _stacked_counter(monkeypatch, "svd")
+
+
+@pytest.fixture
+def stacked_solves(monkeypatch):
+    return _stacked_counter(monkeypatch, "solve")
+
+
+def _far_shifts(H, T, partition, grid):
+    """The shifts of the grid at least 1e-3 from every chibar-block eigenvalue."""
+    eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
+    return [z for z in grid if np.abs(eigs - z).min() >= 1e-3]
+
+
+def _conditioned_instance(m, k, kappa, seed):
+    """(H, T, partition): the sharp partition onto the first m axes of
+    C^(m + k), T diagonal, and H = T + W with the chibar block of H, which is
+    K, set to 1.5 + 0.5 D / ||D||.  D = S diag(w) S^-1 for a random S with
+    cond(S) = kappa and w in [1, 2] x [-0.5i, 0.5i], so that K's eigenvalues
+    cluster around 1.5 as kappa grows; kappa None gives the exact Jordan
+    block D = N, the nilpotent upper shift."""
+    rng = np.random.default_rng(seed)
+    if kappa is None:
+        D = np.eye(k, k=1)
+    else:
+        U, _ = np.linalg.qr(crandn(rng, k))
+        Q, _ = np.linalg.qr(crandn(rng, k))
+        S = (U * np.geomspace(1.0, 1.0 / kappa, k)) @ Q
+        D = (S * (rng.uniform(1.0, 2.0, k) + 0.5j * rng.uniform(-1.0, 1.0, k))) @ np.linalg.inv(S)
+    n = m + k
+    T = np.diag(np.r_[rng.uniform(1.0, 2.0, m), rng.uniform(3.0, 4.0, k)]).astype(complex)
+    W = crandn(rng, n)
+    H = T + 0.3 / op_norm(W) * W
+    H[m:, m:] = 1.5 * np.eye(k) + 0.5 / op_norm(D) * D
+    return H, T, make_sharp(np.diag(np.r_[np.ones(m), np.zeros(k)]))
 
 
 class TestSpectralScan:
@@ -493,8 +531,7 @@ class TestSpectralScan:
         # away from every chibar-block eigenvalue the eigenvector certificate
         # decides both rank-cutoff tests, so F_c is the only SVD per point
         H, T, partition, grid = _reference_instance("nonselfadjoint", 64)
-        eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
-        far = [z for z in grid if np.abs(eigs - z).min() >= 1e-3]
+        far = _far_shifts(H, T, partition, grid)
         assert len(far) >= 12
         stacked_svds[0] = 0
         result = spectral_scan(H, T, partition, far)
@@ -519,27 +556,71 @@ class TestSpectralScan:
                 assert ok == ref_ok, (lam, margin)
 
     @pytest.mark.parametrize("kind, n", [("sharp", 2), ("sharp", 3), ("corank-one", 8)])
-    def test_one_dimensional_ranges_take_no_svd_or_solve(self, kind, n, stacked_svds, monkeypatch):
+    def test_one_dimensional_ranges_take_no_svd_or_solve(self, kind, n, stacked_svds, stacked_solves):
         # away from every chibar-block eigenvalue the certificate decides both
-        # rank tests, so with m = 1 no stacked SVD is left, and with k = 1 no
-        # np.linalg.solve is taken
+        # rank tests, so with m = 1 no stacked SVD is left; the coupling takes
+        # the pole form, so no point takes a solve
         H, T, partition, grid = _reference_instance(kind, n)
-        m, k = partition.ran_chi.dim, partition.ran_chibar.dim
-        eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
-        far = [z for z in grid if np.abs(eigs - z).min() >= 1e-3]
+        m = partition.ran_chi.dim
+        far = _far_shifts(H, T, partition, grid)
         assert len(far) >= 12
-        solves, solve = [0], np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            solves[0] += 1
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        stacked_svds[0] = 0
+        assert _ShiftedScan(H, T, partition).poles is not None
+        stacked_svds[0] = stacked_solves[0] = 0
         result = spectral_scan(H, T, partition, far)
         assert all(result.pair_valid)
         assert stacked_svds[0] == (0 if m == 1 else len(far))
-        assert (solves[0] == 0) == (k == 1)
+        assert stacked_solves[0] == 0
+
+    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    def test_pole_form_takes_no_stacked_solve(self, kind, dim, stacked_solves):
+        H, T, partition, grid = _reference_instance(kind, dim)
+        assert _ShiftedScan(H, T, partition).poles is not None
+        stacked_solves[0] = 0
+        result = spectral_scan(H, T, partition, grid)
+        assert any(result.pair_valid)
+        assert stacked_solves[0] == 0
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e10, None], ids=["cond-1e6", "cond-1e10", "jordan"])
+    def test_ill_conditioned_block_takes_the_batched_solve(self, kappa, stacked_solves):
+        # cond(V) above _POLE_MAX_COND, or no certificate at all for a Jordan
+        # block: every point that reaches the coupling term solves for it
+        H, T, partition = _conditioned_instance(3, 5, kappa, 7)
+        scan = _ShiftedScan(H, T, partition)
+        assert scan.poles is None
+        assert (scan.certificates[1] is None) == (kappa is None)
+        grid = np.linspace(0.0, 5.0, 41) + 0.05j
+        stacked_solves[0] = 0
+        result = spectral_scan(H, T, partition, grid)
+        assert stacked_solves[0] == sum(result.pair_valid) > 0
+
+    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_pole_form_agrees_with_batched_solve(self, kind, dim, monkeypatch):
+        # the bound stated in _ShiftedScan: sigma_min of the pole form is within
+        # 4 rho cond(V) (||K|| + |lam| ||G||) ||L|| ||R|| ||X||^2, X = (K - lam G)^-1,
+        # plus the rounding of two m x m SVDs, of the batched solve's, and
+        # every verdict and flag is the same
+        H, T, partition, grid = _reference_instance(kind, dim)
+        scan = _ShiftedScan(H, T, partition)
+        assert scan.poles is not None
+        pole = spectral_scan(H, T, partition, grid)
+        monkeypatch.setattr(_ShiftedScan, "_pole_form", lambda self, certificate: None)
+        solve = spectral_scan(H, T, partition, grid)
+        assert pole.pair_valid == solve.pair_valid
+        assert pole.flagged_eigenvalues == solve.flagged_eigenvalues
+        K, G = scan.blocks[1], scan.gram_B
+        k, m = K.shape[0], scan.F0.shape[0]
+        eps = np.finfo(float).eps
+        rho = _CERT_ROUNDING * k * eps
+        coupling = 4 * rho * scan.certificates[1].kappa * op_norm(scan.left) * op_norm(scan.right)
+        for lam, a, b, ok in zip(grid, pole.f_smallest_sv, solve.f_smallest_sv, pole.pair_valid):
+            if not ok:
+                continue
+            x = 1.0 / smallest_sv(K - lam * G)
+            Fc = scan.F0 - lam * scan.gram_C - scan.left @ np.linalg.solve(K - lam * G, scan.right)
+            bound = coupling * (op_norm(K) + abs(lam) * op_norm(G)) * x**2 + 2 * _CERT_ROUNDING * m * eps * op_norm(Fc)
+            assert abs(a - b) <= bound, (lam, a, b, bound)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 2)], ids=["closed-forms", "solve-and-svd"])
     def test_overflowing_effective_operator_is_a_gap(self, n, m):
@@ -665,6 +746,48 @@ def test_scan_verdict_is_per_point_build_pair(kind, n, seed, data):
         _, ref_ok, _, margin = _reference_point(H, T, partition, lam)
         if not 0.1 <= margin <= 10:
             assert valid == ref_ok, (lam, margin)
+
+
+def test_pole_gate_sits_between_conditioned_blocks():
+    # the property below draws blocks on both sides of the gate
+    takes = [_ShiftedScan(*_conditioned_instance(2, 4, kappa, 3)).poles is not None for kappa in (1.0, 1e2, 1e5, 1e10)]
+    assert takes == [True, True, False, False]
+    assert 1e2 < _POLE_MAX_COND < 1e5
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(2, 3),
+    k=st.integers(2, 6),
+    exponent=st.one_of(st.floats(0.0, 10.0), st.none()),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_scan_matches_per_point_reference_on_clustered_blocks(m, k, exponent, seed, data):
+    """On chibar blocks K whose eigenvector matrix has cond 1 to 1e10, so
+    that the scan takes the pole form or the batched solve, and on an exact
+    Jordan block, which has no certificate: the scan's verdicts are
+    build_pair's outside the [0.1, 10] margin band, its singular values are
+    the per-point path's within 1e-12 (1 + ||F||), and no LinAlgError or
+    RuntimeWarning escapes.  Within 1e-3 of an eigenvalue of a block that
+    takes the batched solve the singular values are not compared: there an
+    eigenvalue condition number past _POLE_MAX_COND lets the two ways of
+    forming K - lam apart by more than that bound (3.7e-11 (1 + ||F||) at
+    cond 1e5, 1e4 rank cutoffs from an eigenvalue)."""
+    H, T, partition = _conditioned_instance(m, k, None if exponent is None else 10.0**exponent, seed)
+    blocks = _chibar_blocks(H, T, partition)
+    lams = data.draw(st.lists(_shift(H, blocks), min_size=1, max_size=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = spectral_scan(H, T, partition, lams)
+    solved = _ShiftedScan(H, T, partition).poles is None
+    eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    for lam, sv, ok in zip(lams, result.f_smallest_sv, result.pair_valid):
+        ref_sv, ref_ok, f_norm, margin = _reference_point(H, T, partition, lam)
+        if not 0.1 <= margin <= 10:
+            assert ok == ref_ok, (lam, margin)
+        if ok and ref_ok and not (solved and np.abs(eigs - lam).min() < 1e-3):
+            assert abs(sv - ref_sv) <= 1e-12 * (1 + f_norm), (lam, sv, ref_sv)
 
 
 class TestIteratedReduction:
