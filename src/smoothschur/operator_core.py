@@ -327,7 +327,7 @@ def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=N
     return Subspace(cols, _fix_gauge(null))
 
 
-def column_space(M, tol: Tolerances = DEFAULT_TOL, probe=None) -> Subspace:
+def column_space(M, tol: Tolerances = DEFAULT_TOL, *, probe=None) -> Subspace:
     """Orthonormal basis of the numerical column space of M.
 
     When the rank is the number of rows the basis is the identity.  With
