@@ -7,8 +7,7 @@ bracket leaves the verdict open; rel_gate is that gate for residual <=
 rel_threshold(tol, factor norms).  kernel_basis decides an empty kernel from
 the singular values alone when the smallest clears the rank cutoff by more
 than their rounding, and takes the full SVD only otherwise; column_space
-decides a full column space, whose basis is the identity, the same way, and
-goes straight to the full SVD where a probe vector proves the rank short.
+decides a full column space, whose basis is the identity, the same way.
 
 Every operator in this package is an explicit complex ndarray.  An operator
 restricted to a subspace with orthonormal basis B is kept in coordinates, as
@@ -327,52 +326,24 @@ def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=N
     return Subspace(cols, _fix_gauge(null))
 
 
-def column_space(M, tol: Tolerances = DEFAULT_TOL, *, probe=None) -> Subspace:
+def column_space(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical column space of M.
 
     When the rank is the number of rows the basis is the identity.  With
     rows <= cols the singular values alone decide that when they clear the
     rank cutoff by more than their rounding (_clears); the full SVD decides
     every other case.
-
-    A probe vector x for a square M can prove the rank below the number of
-    rows at O(n^2) cost (_probe_is_short), and then the full SVD is taken at
-    once, without the singular values first.  The full SVD decides the rank
-    either way, so the probe changes no basis.
     """
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return Subspace.empty(rows)
-    if rows <= cols and not _probe_is_short(A, probe, tol):
-        s = np.linalg.svd(A, compute_uv=False)
-        if _clears(s, A.shape, _rank_cutoff(s, A.shape, tol)):
-            return Subspace.full(rows)
+    s = np.linalg.svd(A, compute_uv=False) if rows <= cols else None
+    if s is not None and _clears(s, A.shape, _rank_cutoff(s, A.shape, tol)):
+        return Subspace.full(rows)
     u, s, _ = np.linalg.svd(A)
     rank = int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
     return Subspace.full(rows) if rank == rows else Subspace(rows, _fix_gauge(u[:, :rank]))
-
-
-def _probe_is_short(A: np.ndarray, x, tol: Tolerances) -> bool:
-    """Whether the probe x proves the smallest singular value of a square A
-    at or below its rank cutoff, so that _clears cannot pass it; False when
-    there is no probe, x = 0 or A is not square.
-
-    sigma_min(A) <= ||A x|| / ||x|| for any x != 0, and the computed A x is
-    within _CERT_ROUNDING n eps ||A||_F ||x|| of the exact one.  When that
-    bound is at or below rank_rel n lo, lo <= ||A|| from norm_bounds, it is
-    at or below the rank cutoff rank_rel n ||A||.
-    """
-    if x is None or A.shape[0] != A.shape[1]:
-        return False
-    x = np.asarray(x, dtype=complex)
-    size = float(np.linalg.norm(x))
-    if not size > 0.0:
-        return False
-    lo, hi = norm_bounds(A)
-    n = A.shape[0]
-    rounding = _CERT_ROUNDING * n * np.finfo(float).eps * hi
-    return float(np.linalg.norm(A @ x)) / size + rounding <= tol.rank_rel * n * lo
 
 
 def _compress(A, V: Subspace):

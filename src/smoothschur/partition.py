@@ -121,24 +121,13 @@ class Partition:
 
     @cached_property
     def ran_chi(self) -> Subspace:
-        """The numerical column space of chi at the partition's tol, taken once.
-
-        chibar's largest column probes it (column_space): chi chibar = 0 for
-        a sharp partition, which proves ran(chi) proper without the singular
-        values of chi.
-        """
-        return column_space(self.chi, self.tol, probe=_largest_column(self.chibar))
+        """The numerical column space of chi at the partition's tol, taken once."""
+        return column_space(self.chi, self.tol)
 
     @cached_property
     def ran_chibar(self) -> Subspace:
-        """The numerical column space of chibar at the partition's tol, taken
-        once, with chi's largest column as the probe (see ran_chi)."""
-        return column_space(self.chibar, self.tol, probe=_largest_column(self.chi))
-
-
-def _largest_column(A: np.ndarray) -> np.ndarray:
-    """The column of A with the largest Euclidean norm."""
-    return A[:, int(np.argmax(np.linalg.norm(A, axis=0)))]
+        """The numerical column space of chibar at the partition's tol, taken once."""
+        return column_space(self.chibar, self.tol)
 
 
 def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:

@@ -93,9 +93,9 @@ class TestBuildPair:
     def test_ran_chi_built_only_when_read(self, monkeypatch):
         taken = []
 
-        def recording(M, tol, **kwargs):
+        def recording(M, tol):
             taken.append(M)
-            return column_space(M, tol, **kwargs)
+            return column_space(M, tol)
 
         inst = generate(InstanceSpec(dim=8, partition_kind="nonselfadjoint", seed=derived_seed(43, 8)))
         tol = Tolerances(rank_rel=1e-9)
