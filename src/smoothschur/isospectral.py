@@ -208,51 +208,69 @@ _FLAG_SCALE = 10.0
 _CERT_SLACK = 1e-3
 
 #: The accuracy a scan keeps: each smallest singular value is within this
-#: times 1 + ||F(lam)|| of the one the per-point path (build_pair,
-#: feshbach_map) gives.
+#: times 1 + ||F(lam)|| of the per-point path's (build_pair, feshbach_map),
+#: away from the eigenvalues of the chibar block K (see _ShiftedScan).
 _SCAN_ACCURACY = 1e-12
 
-#: The largest cond(V) at which a scan takes the pole form of (K - lam B*B)^-1
+#: The largest cond(V) at which a scan takes the pole form of (K - lam)^-1
 #: (see _ShiftedScan): _SCAN_ACCURACY over the rounding _CERT_ROUNDING eps of
 #: one term of a k x k product or solve, about 560.
 _POLE_MAX_COND = _SCAN_ACCURACY / (_CERT_ROUNDING * np.finfo(float).eps)
 
 
+def _frobenius(mags: np.ndarray, extra=0.0) -> np.ndarray:
+    """sqrt(extra^2 + sum of mags^2 along axis 0), each column scaled by its
+    largest entry first (as in norm_bounds) so no square over- or underflows."""
+    top = np.maximum(mags.max(axis=0, initial=0.0), extra)
+    scale = np.where(top > 0.0, top, 1.0)
+    mags = mags / scale
+    return top * np.sqrt((mags * mags).sum(axis=0) + (extra / scale) ** 2)
+
+
+def _shift(M: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """M - lam for each shift in lams, stacked along a new first axis."""
+    stack = np.repeat(M[None], len(lams), axis=0)
+    diag = np.arange(M.shape[0])
+    stack[:, diag, diag] -= lams[:, None]
+    return stack
+
+
 class _EigenCertificate(NamedTuple):
-    """A lower bound on sigma_min(M - lam G) at every lam, from one
-    eigendecomposition M V = V diag(w) + R of a k x k block M, G the Gram
-    matrix of the basis of ran(chibar):
+    """A lower bound on sigma_min(M - lam) at every lam, from one
+    eigendecomposition M V = V diag(w) + R of a k x k block M:
 
-        M - lam G = V (diag(w) - lam) V^-1 + R V^-1 - lam (G - 1),
+        M - lam = V (diag(w) - lam) V^-1 + R V^-1,
 
-    so sigma_min(M - lam G) >= min_i |w_i - lam| / kappa - e - |lam| g with
-    kappa = cond(V), e >= ||R V^-1|| and g >= ||G - 1|| (the Bauer-Fike
-    argument; Trefethen & Embree, Spectra and Pseudospectra, 2005).  e and g
-    include the rounding of R, of forming M - lam G and of its SVD, so a
-    block whose bound clears the rank cutoff is one the SVD passes as well.
-    V is kept for the scan's pole form of (K - lam G)^-1.
+    so sigma_min(M - lam) >= min_i |w_i - lam| / kappa - e - |lam| rho sqrt(k)
+    with kappa = cond(V), e >= ||R V^-1|| and rho = _CERT_ROUNDING k eps (the
+    Bauer-Fike argument; Trefethen & Embree, Spectra and Pseudospectra, 2005).
+    e includes the rounding of R and of the SVD, and |lam| rho sqrt(k) bounds
+    the rounding of lam in the k diagonal entries of the computed M - lam, so
+    a block whose bound clears the rank cutoff is one the SVD passes as well.
+    V is kept for the scan's pole form of (K - lam)^-1.
     """
 
     w: np.ndarray
     V: np.ndarray
     kappa: float
     e: float
-    g: float
 
     def clears(self, lams: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        """Whether sigma_min(M - lam G) certainly exceeds each cutoff."""
-        gap = np.abs(self.w[None, :] - lams[:, None]).min(axis=1)
+        """Whether sigma_min(M - lam) certainly exceeds each cutoff."""
+        k = len(self.w)
+        gap = np.abs(self.w[:, None] - lams).min(axis=0)
         lower = (1.0 - _CERT_SLACK) * gap / self.kappa
-        return lower > (1.0 + _CERT_SLACK) * (self.e + np.abs(lams) * self.g + cutoffs)
+        rounding = np.abs(lams) * (_CERT_ROUNDING * k * np.finfo(float).eps * np.sqrt(k))
+        return lower > (1.0 + _CERT_SLACK) * (self.e + rounding + cutoffs)
 
 
-def _eigen_certificate(M: np.ndarray, G: np.ndarray) -> _EigenCertificate | None:
+def _eigen_certificate(M: np.ndarray) -> _EigenCertificate | None:
     """The _EigenCertificate of the block M, or None when eig fails, the
     eigenvectors V are non-finite or singular, or cond(V) exceeds
     _CERT_SLACK / rho for rounding unit rho = _CERT_ROUNDING k eps.
 
     e = (||R||_F + rho ||M||_F ||V||_F) / sigma_min(V) bounds ||R V^-1||
-    without forming V^-1, and g = ||G - 1||_F + rho ||G||_F.
+    without forming V^-1.
     """
     k = M.shape[0]
     rho = _CERT_ROUNDING * k * np.finfo(float).eps
@@ -265,66 +283,72 @@ def _eigen_certificate(M: np.ndarray, G: np.ndarray) -> _EigenCertificate | None
         return None
     if rho * s[0] > _CERT_SLACK * s[-1]:
         return None
-    R = M @ V - V * w
-    e = (np.linalg.norm(R) + rho * np.linalg.norm(M) * np.linalg.norm(V)) / s[-1]
-    g = np.linalg.norm(G - np.eye(k)) + rho * np.linalg.norm(G)
-    return _EigenCertificate(w, V, s[0] / s[-1], e, g)
+    R_norm, M_norm, V_norm = (_frobenius(np.abs(X).ravel()) for X in (M @ V - V * w, M, V))
+    return _EigenCertificate(w, V, s[0] / s[-1], (R_norm + rho * M_norm * V_norm) / s[-1])
 
 
-def _off_diagonal_sq(A: np.ndarray) -> float:
-    """Sum of |A_ij|^2 over i != j."""
-    off = np.abs(A) ** 2
-    np.fill_diagonal(off, 0.0)
-    return float(off.sum())
+class _Shifted(NamedTuple):
+    """An operator M that a scan shifts to M - lam, with the Frobenius norm of
+    its part off the diagonal, which a shift leaves alone, and, for a chibar
+    block, its _EigenCertificate (None where eig gives none)."""
+
+    M: np.ndarray
+    off: float
+    certificate: _EigenCertificate | None
+
+    @classmethod
+    def of(cls, M: np.ndarray, certified: bool) -> "_Shifted":
+        mags = np.abs(M)
+        np.fill_diagonal(mags, 0.0)
+        return cls(M, float(_frobenius(mags.ravel())), _eigen_certificate(M) if certified else None)
+
+    def norms(self, lams: np.ndarray) -> np.ndarray:
+        """||M - lam||_F at each shift, at O(n) work per shift."""
+        return _frobenius(np.abs(np.diagonal(self.M)[:, None] - lams), self.off)
 
 
 class _ShiftedScan:
     """The shifted pairs (H - lam, T - lam) of one partition, for many lam.
 
     A common shift leaves W, both commutation residuals and both leaks off
-    ran(chibar) unchanged; only the k x k blocks of T and H_chibar move, by
-    -lam G for the Gram matrix G = B*B of the basis B of ran(chibar), and F0
-    by -lam C*C.  Everything else is computed once, by the _shift_invariants
-    that build_pair uses (which raises BlockInvertibilityError when
-    ran(chibar), and so ran(chi), is numerically empty) and by
-    _compressed_map.  A range that is the whole space has the identity
-    basis: its Gram matrix is the identity, nothing leaks off it, and no
-    product with the basis is formed.  The exact norms of the commutation
-    and leak residuals are taken once per scan, where build_pair decides the
-    same gates from norm brackets; both reach the exact verdict.  Each block
-    M also gets one _EigenCertificate, a lower bound on sigma_min(M - lam G)
-    at O(k) per shift, so the SVD decides the rank test only where the bound
-    leaves it open (see spectral_scan).
+    ran(chibar) unchanged.  In the orthonormal coordinates of ran(chibar)
+    and ran(chi) it moves only diagonals, each by -lam: those of T,
+    H_chibar, their k x k blocks T_block and K, and F0.  (B*B and C*C are
+    the identity up to rounding, and the per-point path rounds B*(T - lam)B
+    at rho ||T - lam|| anyway.)  Everything else is computed once, by the
+    _shift_invariants that build_pair uses (which raises
+    BlockInvertibilityError when ran(chibar), and so ran(chi), is
+    numerically empty) and by _compressed_map.  The exact norms of the
+    commutation and leak residuals are taken once per scan, where build_pair
+    decides the same gates from norm brackets; both reach the exact verdict.
+    Each operator a shift moves is a _Shifted, whose norms both the
+    threshold gates and the rank tests read.  M - lam is stacked only for
+    the points a block's certificate leaves open to the SVD, and for the
+    batched solve.
 
-    The coupling term of F_c(lam) = F0 - lam C*C - L (K - lam G)^-1 R is a
+    The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
     the certificate's K = V diag(w) V^-1 it is taken in pole form,
 
         L (K - lam)^-1 R = (L V) diag(1 / (w - lam)) (V^-1 R),
 
     with L V and V^-1 R formed once per scan, so a point costs one k x m
-    scaling and one product and no solve.  With k = 1, V = [[1]] and this
-    is the quotient L R / (K - lam).  The batched solve of (K - lam G) X = R
-    is kept where K has no certificate (eig failed, or V is singular or too
-    ill-conditioned for it), or where the pole form could miss the scan's
-    accuracy:
+    scaling and one product and no solve.  The batched solve of
+    (K - lam) X = R is kept where K has no certificate (eig failed, or V is
+    singular or too ill-conditioned for it), or where the pole form could
+    miss the scan's accuracy:
 
-    - Both forms return the coupling of a block near K - lam G.  The solve
-      is backward stable: its block is within rho ||K - lam G|| of it, for
-      rho = _CERT_ROUNDING k eps.  The pole form's block is
-      V diag(w) V^-1 - lam, within e + |lam| ||G - 1|| of it, with e the
-      certificate's, at most about rho cond(V) ||K||; its products through V
-      and V^-1 add about rho cond(V) ||K - lam G|| more.  The pole form
-      requires ||G - 1||_F <= rho, so that lam (G - 1) is within the
-      rounding of forming K - lam G.  G is the identity for the identity
-      basis; for the other bases column_space gives, ||G - 1||_F was at
-      most 0.4 rho on the test instances.
+    - Both forms return the coupling of a block near K - lam.  The solve is
+      backward stable: its block is within rho ||K - lam|| of it, for
+      rho = _CERT_ROUNDING k eps.  The pole form's block V diag(w) V^-1 - lam
+      is within the certificate's e of it, at most about rho cond(V) ||K||,
+      and its products through V and V^-1 add about rho cond(V) ||K - lam||.
     - To first order a block moved by d moves the coupling, and so
-      sigma_min(F_c), by at most ||L|| ||R|| ||X||^2 ||d||, X = (K - lam G)^-1.
+      sigma_min(F_c), by at most ||L|| ||R|| ||X||^2 ||d||, X = (K - lam)^-1.
       The two forms' m x m SVDs of F_c round at _CERT_ROUNDING m eps ||F_c||
       each.  So at every valid point
 
-          |sigma_pole - sigma_solve| <= 4 rho cond(V) (||K|| + |lam| ||G||) ||L|| ||R|| ||X||^2
+          |sigma_pole - sigma_solve| <= 4 rho cond(V) (||K|| + |lam|) ||L|| ||R|| ||X||^2
                                         + 2 _CERT_ROUNDING m eps ||F_c||:
 
       the pole form's error bound is the solve's, with rho multiplied by
@@ -334,45 +358,41 @@ class _ShiftedScan:
       factor _SCAN_ACCURACY / (_CERT_ROUNDING eps), about 560, over the
       rounding of one of the k terms that each entry of a k x k product or
       solve sums, and the solve and the pole form sum them alike.  The pole
-      form is taken where cond(V) <= _POLE_MAX_COND, that factor, and
-      ||G - 1||_F <= rho.
+      form is taken where cond(V) <= _POLE_MAX_COND, that factor.
+    - The contract excludes the neighbourhood of an eigenvalue of K.  The
+      per-point path's B*(H_chibar - lam)B and the scan's K - lam are two
+      roundings of one block, so by the first-order term their sigma differ
+      by up to rho (||K|| + |lam|) ||L|| ||R|| ||X||^2 on either form, and
+      ||X|| grows like cond(V) / min_i |w_i - lam|: 3.7e-11 (1 + ||F||) at
+      cond(V) 1e5, 1e4 rank cutoffs from an eigenvalue.
 
-    points batches the m x m SVDs of F_c over the shifts (sigma_min(F_c) is
-    |F_c| where m = 1).  F_c is formed with floating-point errors ignored,
-    so one that overflows is non-finite, a gap, and warns of nothing.
+    F_c is formed with floating-point errors ignored: one that overflows is
+    a gap, and warns of nothing.
     """
 
     def __init__(self, H, T, partition: Partition):
         fixed = _shift_invariants(H, T, partition)
-        B = partition.ran_chibar
-        # (operator A, its squared Frobenius norm off the diagonal, which a
-        # shift leaves alone, [(residual norm, factor norm)]): each residual
-        # must stay within rel_threshold(factor, ||A - lam||), as in build_pair
+        # (operator, [(residual norm, factor norm)]): each residual must stay
+        # within rel_threshold(factor, ||A - lam||), as in build_pair
         commutation = [
             (op_norm(r), op_norm(c)) for r, c in zip(fixed.commutation, (partition.chi, partition.chibar))
         ]
         self.gates = [
-            (T, _off_diagonal_sq(T), [*commutation, (op_norm(fixed.T_leak), 1.0)]),
-            (fixed.H_chibar, _off_diagonal_sq(fixed.H_chibar), [(op_norm(fixed.K_leak), 1.0)]),
+            (_Shifted.of(T, False), [*commutation, (op_norm(fixed.T_leak), 1.0)]),
+            (_Shifted.of(fixed.H_chibar, False), [(op_norm(fixed.K_leak), 1.0)]),
         ]
-        self.blocks = (fixed.T_block, fixed.K)
-        self.gram_B = B.coords(B.basis)
-        self.certificates = [_eigen_certificate(M, self.gram_B) for M in self.blocks]
+        self.blocks = [_Shifted.of(M, True) for M in (fixed.T_block, fixed.K)]
         self.tol = partition.tol
-        self.F0, self.left, self.right, self.gram_C = _compressed_map(fixed, partition)
-        self.poles = self._pole_form(self.certificates[1])
+        self.F0, self.left, self.right = _compressed_map(fixed, partition)
+        self.poles = self._pole_form(self.blocks[1].certificate)
         self.n = partition.dim
-        k, m = B.dim, partition.ran_chi.dim
+        k, m = partition.ran_chibar.dim, partition.ran_chi.dim
         self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
 
     def _pole_form(self, certificate: _EigenCertificate | None):
         """(w, L V, V^-1 R) from the certificate of K, or None where the
-        batched solve is kept: no certificate, cond(V) > _POLE_MAX_COND or
-        ||G - 1||_F > rho."""
+        batched solve is kept: no certificate, or cond(V) > _POLE_MAX_COND."""
         if certificate is None or certificate.kappa > _POLE_MAX_COND:
-            return None
-        k = len(certificate.w)
-        if np.linalg.norm(self.gram_B - np.eye(k)) > _CERT_ROUNDING * k * np.finfo(float).eps:
             return None
         with np.errstate(all="ignore"):
             return certificate.w, self.left @ certificate.V, np.linalg.solve(certificate.V, self.right)
@@ -383,20 +403,17 @@ class _ShiftedScan:
         idx = np.arange(len(lams))
         for gate in self.gates:
             idx = idx[self._within_thresholds(*gate, lams[idx])]
-        for block, certificate in zip(self.blocks, self.certificates):
-            shifted = block - lams[idx, None, None] * self.gram_B
-            keep = self._nonsingular(shifted, certificate, lams[idx])
-            idx, shifted = idx[keep], shifted[keep]
-        # shifted is K - lam G, the last block, at the points still valid
-        shift = lams[idx, None, None]
+        for block in self.blocks:
+            idx = idx[self._nonsingular(block, lams[idx])]
+        at = lams[idx]
         with np.errstate(all="ignore"):
             if self.poles is None:
                 right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
-                coupling = self.left @ np.linalg.solve(shifted, right)
+                coupling = self.left @ np.linalg.solve(_shift(self.blocks[1].M, at), right)
             else:
                 w, left, right = self.poles
-                coupling = left @ (right / (w[:, None] - shift))
-            Fc = self.F0 - shift * self.gram_C - coupling
+                coupling = left @ (right / (w[:, None] - at[:, None, None]))
+            Fc = _shift(self.F0, at) - coupling
             finite = np.isfinite(Fc).all(axis=(1, 2))
             Fc = Fc[finite]
             if Fc.shape[-1] == 1:  # m = 1: sigma_min(F_c) is |F_c|
@@ -405,15 +422,14 @@ class _ShiftedScan:
                 sv[idx[finite]] = np.linalg.svd(Fc, compute_uv=False)[:, -1]
         return sv, ~np.isnan(sv)
 
-    def _within_thresholds(self, A, off_diag_sq, checks, lams) -> np.ndarray:
+    def _within_thresholds(self, A: _Shifted, checks, lams) -> np.ndarray:
         """Whether every residual passes its threshold at ||A - lam||.
 
         ||A - lam||_F / sqrt(n) <= ||A - lam||_2 <= ||A - lam||_F decides
         most verdicts; the exact norm is computed only for the rest.
         """
         tol = self.tol
-        diag = np.abs(np.diagonal(A)[None, :] - lams[:, None]) ** 2
-        fro = np.sqrt(off_diag_sq + diag.sum(axis=1))
+        fro = A.norms(lams)
         lo = fro / np.sqrt(self.n) * (1.0 - _BRACKET_SLACK)
         hi = fro * (1.0 + _BRACKET_SLACK)
         ok = np.ones(lams.shape, dtype=bool)
@@ -421,27 +437,28 @@ class _ShiftedScan:
         for residual, factor in checks:
             ok &= residual <= np.maximum(tol.residual_rel * (factor * hi), ABS_FLOOR)
             open_ |= residual > np.maximum(tol.residual_rel * (factor * lo), ABS_FLOOR)
-        eye = np.eye(self.n)
         for i in np.flatnonzero(ok & open_):
-            norm = op_norm(A - lams[i] * eye)
+            norm = op_norm(_shift(A.M, lams[i : i + 1])[0])
             ok[i] = all(residual <= rel_threshold(tol, factor, norm) for residual, factor in checks)
         return ok
 
-    def _nonsingular(self, blocks: np.ndarray, certificate, lams) -> np.ndarray:
-        """Whether each stacked k x k block M - lam B*B passes the rank cutoff
-        that _gate_block applies; non-finite blocks fail.
+    def _nonsingular(self, block: _Shifted, lams) -> np.ndarray:
+        """Whether each shifted k x k block M - lam passes the rank cutoff
+        that _gate_block applies; a block that is not finite fails.
 
-        The cutoff is at most _rank_cutoff of ||M - lam B*B||_F.  A block the
-        certificate clears against that passes; the SVD decides the rest.
+        The cutoff is at most _rank_cutoff of ||M - lam||_F.  A block the
+        certificate clears against that passes; M - lam is stacked and the
+        SVD decides only for the rest.
         """
-        shape = blocks.shape[-2:]
-        ok = np.isfinite(blocks).all(axis=(1, 2))
-        undecided = ok.copy()
+        M, certificate = block.M, block.certificate
+        ok = np.zeros(lams.shape, dtype=bool)
         if certificate is not None:
-            norms = np.linalg.norm(blocks, axis=(1, 2))
-            undecided &= ~certificate.clears(lams, _rank_cutoff(norms[:, None], shape, self.tol))
-        s = np.linalg.svd(blocks[undecided], compute_uv=False)
-        ok[undecided] = s[:, -1] > _rank_cutoff(s, shape, self.tol)
+            ok = certificate.clears(lams, _rank_cutoff(block.norms(lams)[:, None], M.shape, self.tol))
+        open_ = np.flatnonzero(~ok)
+        stack = _shift(M, lams[open_])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        s = np.linalg.svd(stack[finite], compute_uv=False)
+        ok[open_[finite]] = s[:, -1] > _rank_cutoff(s, M.shape, self.tol)
         return ok
 
 
@@ -482,46 +499,28 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
     record the smallest singular value of F(lambda) compressed to ran(chi).
 
-    Shifting H and T together changes only the k x k compressions of T and
-    H_chibar to ran(chibar), so everything else is computed once per scan
-    and each point costs k x k, k x m and m x m work for m = dim ran(chi):
+    Shifting H and T together moves only the diagonals of T, H_chibar and
+    their k x k compressions to ran(chibar), so everything else is computed
+    once per scan (_ShiftedScan) and each point costs k x k, k x m and
+    m x m work for m = dim ran(chi):
 
-        F_c(lambda) = C*H_chi C - lambda C*C
+        F_c(lambda) = C*H_chi C - lambda
                       - (C*chi W chibar B) (K - lambda)^-1 (B*chibar W chi C),
 
-    with K = B*H_chibar B.  A point is a gap (pair_valid False, singular
-    value NaN) exactly where build_pair rejects the shifted pair: a
-    commutation residual or leak above rel_threshold of ||T - lambda|| or
-    ||H_chibar - lambda||, or a compression of T - lambda or H_chibar -
-    lambda whose smallest singular value is at or below its rank cutoff.
-    Each threshold is first decided from the Frobenius bracket
-    ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F; the exact spectral norm is
-    computed only when a residual falls inside it.
-    Each rank test is first decided from one eigendecomposition of the block
-    per scan (M = K or B*TB, V its eigenvectors, w its eigenvalues):
-
-        sigma_min(M - lambda B*B) >= min_i |w_i - lambda| / cond(V) - e - |lambda| g,
-
-    e bounding ||M - V diag(w) V^-1|| and g ||B*B - 1||, both with their
-    rounding.  A block whose bound exceeds rank_rel k ||M - lambda B*B||_F,
-    an upper bound on its cutoff, with relative slack _CERT_SLACK, is one
-    the SVD passes, so only the blocks the bound leaves open (near an
-    eigenvalue of M, or all of them when V is singular or too
-    ill-conditioned) reach the SVD, and every verdict is the SVD's.
-    The grid runs in chunks sized from n, k and m so that each stacked
-    array stays within about 256 KB however long the grid (one point per
-    chunk once a single k x k block is larger).  Each chunk takes O(1)
-    NumPy calls.  The coupling term is taken in pole form, from the
-    eigendecomposition K = V diag(w) V^-1 that the rank test already takes:
-
-        (C*chi W chibar B V) diag(1 / (w - lambda)) (V^-1 B*chibar W chi C),
-
-    its two outer factors formed once per scan, so no point takes a k x k
-    solve.  The batched solve of (K - lambda B*B) X = R replaces it where V
-    is singular or too ill-conditioned for the pole form to keep the scan's
-    accuracy (see _ShiftedScan, which states the bound).  The m x m SVDs of
-    F_c are batched, and where m = 1 they are the closed form
-    sigma_min(F_c) = |F_c|.  A point where F_c overflows is a gap.
+    with K = B*H_chibar B, B and C the orthonormal bases of ran(chibar) and
+    ran(chi).  A point is a gap (pair_valid False, singular value NaN)
+    exactly where build_pair rejects the shifted pair: a commutation
+    residual or leak above rel_threshold of ||T - lambda|| or
+    ||H_chibar - lambda||, or a compression of T - lambda or
+    H_chibar - lambda whose smallest singular value is at or below its rank
+    cutoff, or where F_c overflows.  Each threshold is first decided from
+    the Frobenius bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, and each
+    rank test from an eigenvector certificate of the block; the exact norm
+    or the SVD decides only where those leave the verdict open, so every
+    verdict is the exact one.  The coupling term is taken in pole form from
+    the eigendecomposition of K, or by a batched solve where that could miss
+    the scan's accuracy (see _ShiftedScan).  The grid runs in chunks of O(1)
+    NumPy calls, each stacked array within about 256 KB.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
@@ -601,7 +600,7 @@ def iterated_reduction(H, T, partitions):
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
-        F0, L, R, _ = _compressed_map(pair, partition)
+        F0, L, R = _compressed_map(pair, partition)
         H_k = F0 - L @ np.linalg.solve(pair.K, R)
         T_k = C.restrict(C.coords(pair.T))
         stages.append((H_k, m))

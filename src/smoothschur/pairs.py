@@ -67,7 +67,7 @@ NEUMANN_TOL = 1e-12
 
 class _ShiftInvariants(NamedTuple):
     """The part of a pair that a common shift of H and T leaves unchanged,
-    but for T_block and K, which move by -lam B*B.  The commutation and leak
+    but for T_block and K, which move by -lam.  The commutation and leak
     residuals are kept as matrices, each gate taking their norms as it needs."""
 
     W: np.ndarray
@@ -226,19 +226,19 @@ def build_pair(H, T, partition: Partition) -> FeshbachPair:
 
 
 def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
-    """The blocks (F0, L, R, C*C) of F compressed to ran(chi), for a pair or
-    its _ShiftInvariants p, C the basis of the partition's ran(chi) and B
-    that of its ran(chibar):
+    """The blocks (F0, L, R) of F compressed to ran(chi), for a pair or its
+    _ShiftInvariants p, C the basis of the partition's ran(chi) and B that of
+    its ran(chibar):
 
       C*FC = F0 - L K^{-1} R,   F0 = C*H_chi C,   L = C*chi W chibar B,
                                 R = B*chibar W chi C.
 
-    A common shift lam of H and T moves F0 by -lam C*C and K by -lam B*B.
+    A common shift lam of H and T moves F0 and K by -lam: C and B are
+    orthonormal, so C*C and B*B are the identity up to rounding.
     """
     chi, chibar, W = partition.chi, partition.chibar, p.W
     B, C = partition.ran_chibar, partition.ran_chi
-    F0, gram_C = C.restrict(C.coords(p.H_chi)), C.coords(C.basis)
-    return F0, B.restrict(C.coords(chi) @ W @ chibar), C.restrict(B.coords(chibar) @ W @ chi), gram_C
+    return C.restrict(C.coords(p.H_chi)), B.restrict(C.coords(chi) @ W @ chibar), C.restrict(B.coords(chibar) @ W @ chi)
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:

@@ -35,13 +35,17 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
-from smoothschur.isospectral import _POLE_MAX_COND, _ShiftedScan, _grid_resolution
+from smoothschur.isospectral import _POLE_MAX_COND, _Shifted, _ShiftedScan, _grid_resolution
 from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
 from smoothschur.pairs import _compressed_map
 
 from conftest import MIXED_FORMS, OVERLAP_FORMS, crandn, instance, overlap_instance, restricted_map, smallest_sv
 
 KINDS = ("sharp", "smooth", "nonselfadjoint")
+
+#: Operator scales a scan's verdicts must not depend on: squared entries
+#: underflow below about 1e-154 and overflow above about 1e154.
+_SCALES = (1e-160, 1e-8, 1e8, 1e160, 1e300)
 
 
 def _pair_and_data(i, base_seed=61, scale=0.3, dim=None):
@@ -477,17 +481,28 @@ class TestSpectralScan:
             spectral_scan(inst.H, inst.T, make_sharp(np.diag([1.0, 0.0]), Tolerances(rank_rel=10)), [0.0, 1.0])
 
     def test_scale_invariance(self, stacked_svds):
+        # the non-commuting T = [[2, 0.5], [0.5, 3]] is rejected at every
+        # shift from 1e-8 up, 1e160 included, where a squared entry
+        # overflows; at 1e-160 its commutation residual is below ABS_FLOOR,
+        # so build_pair accepts it, and so must the scan.  No RuntimeWarning
+        # escapes at any scale
         inst = worked_2x2()
         grid = np.arange(0.0, 5.0, 0.01)
-        base = spectral_scan(inst.H, inst.T, inst.partition, grid)
-        assert len(base.flagged_eigenvalues) == 2
-        for s in (1e-8, 1e8):
-            scaled = spectral_scan(s * inst.H, s * inst.T, inst.partition, s * grid)
-            assert scaled.pair_valid == base.pair_valid
-            flags = [z / s for z in scaled.flagged_eigenvalues]
-            assert flags == pytest.approx(base.flagged_eigenvalues, rel=1e-12)
-        # k = 8 chibar blocks, where the certificate's e and g are nonzero:
-        # it must leave the same points to the SVD at every scale
+        for T in (inst.T, np.array([[2.0, 0.5], [0.5, 3.0]], dtype=complex)):
+            commuting = T is inst.T
+            H = inst.H - inst.T + T
+            base = spectral_scan(H, T, inst.partition, grid)
+            assert len(base.flagged_eigenvalues) == (2 if commuting else 0)
+            for s in _SCALES:
+                scaled = spectral_scan(s * H, s * T, inst.partition, s * grid)
+                for lam, valid in zip(s * grid[::10], scaled.pair_valid[::10]):
+                    assert valid == _reference_point(s * H, s * T, inst.partition, lam)[1], (s, lam)
+                if commuting or s > 1e-8:
+                    assert scaled.pair_valid == base.pair_valid
+                    flags = [z / s for z in scaled.flagged_eigenvalues]
+                    assert flags == pytest.approx(base.flagged_eigenvalues, rel=1e-12)
+        # k = 8 chibar blocks, where the certificate's e is nonzero: it must
+        # leave the same points to the SVD at every scale
         H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
         mus = [np.linalg.eigvals(block)[0] for block in _chibar_blocks(H, T, partition)]
         grid = np.array(grid[:15] + [mu + d for mu in mus for d in (1e-9, 1e-6, 1e-3)])
@@ -495,11 +510,11 @@ class TestSpectralScan:
         base = spectral_scan(H, T, partition, grid)
         base_svds = stacked_svds[0]
         assert sum(base.pair_valid) < base_svds < len(grid) + sum(base.pair_valid)
-        for s in (1e-8, 1e8):
+        for s in _SCALES:
             stacked_svds[0] = 0
             scaled = spectral_scan(s * H, s * T, partition, s * grid)
-            assert stacked_svds[0] == base_svds
-            assert scaled.pair_valid == base.pair_valid
+            assert stacked_svds[0] == base_svds, s
+            assert scaled.pair_valid == base.pair_valid, s
 
     def test_worked_2x2_matches_per_point_reference(self):
         inst = worked_2x2()
@@ -524,8 +539,20 @@ class TestSpectralScan:
         pair = build_pair(H, T, partition)
         scan = _ShiftedScan(H, T, partition)
         want = _compressed_map(pair, partition)
-        for got, block in zip((scan.F0, scan.left, scan.right, scan.gram_C), want):
+        for got, block in zip((scan.F0, scan.left, scan.right), want, strict=True):
             assert np.array_equal(got, block)
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_shifted_norms_are_frobenius_norms(self, k, scale):
+        # ||M - lam||_F from the diagonal and the mass off it, without
+        # overflow or underflow, at shifts across and on the spectrum of M
+        rng = np.random.default_rng(k)
+        M = crandn(rng, k)
+        lams = np.r_[3 * crandn(rng, 1, 20)[0], np.linalg.eigvals(M), 0.0]
+        got = _Shifted.of(scale * M, False).norms(scale * lams)
+        want = scale * np.linalg.norm(M[None] - lams[:, None, None] * np.eye(k), axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_certificate_spares_block_svds(self, stacked_svds):
         # away from every chibar-block eigenvalue the eigenvector certificate
@@ -568,6 +595,11 @@ class TestSpectralScan:
         m = partition.ran_chi.dim
         far = _far_shifts(H, T, partition, grid)
         assert len(far) >= 12
+        B = partition.ran_chibar
+        if kind == "sharp" and n > 3:
+            # a sharp basis is orthonormal only up to rounding; the pole form
+            # is chosen on the certificate alone
+            assert np.linalg.norm(B.coords(B.basis) - np.eye(B.dim)) > 0
         assert _ShiftedScan(H, T, partition).poles is not None
         stacked_svds[0] = stacked_solves[0] = 0
         result = spectral_scan(H, T, partition, far)
@@ -587,7 +619,7 @@ class TestSpectralScan:
         scan = _ShiftedScan(H, T, partition)
         solved = kappa is None or kappa > _POLE_MAX_COND
         assert (scan.poles is None) == solved
-        assert (scan.certificates[1] is None) == (kappa is None)
+        assert (scan.blocks[1].certificate is None) == (kappa is None)
         grid = np.linspace(0.0, 5.0, 41) + 0.05j
         stacked_solves[0] = 0
         result = spectral_scan(H, T, partition, grid)
@@ -598,7 +630,7 @@ class TestSpectralScan:
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_pole_form_agrees_with_batched_solve(self, kind, dim, monkeypatch):
         # the bound stated in _ShiftedScan: sigma_min of the pole form is within
-        # 4 rho cond(V) (||K|| + |lam| ||G||) ||L|| ||R|| ||X||^2, X = (K - lam G)^-1,
+        # 4 rho cond(V) (||K|| + |lam|) ||L|| ||R|| ||X||^2, X = (K - lam)^-1,
         # plus the rounding of two m x m SVDs, of the batched solve's, and
         # every verdict and flag is the same
         H, T, partition, grid = _reference_instance(kind, dim)
@@ -609,17 +641,17 @@ class TestSpectralScan:
         solve = spectral_scan(H, T, partition, grid)
         assert pole.pair_valid == solve.pair_valid
         assert pole.flagged_eigenvalues == solve.flagged_eigenvalues
-        K, G = scan.blocks[1], scan.gram_B
+        K, certificate = scan.blocks[1].M, scan.blocks[1].certificate
         k, m = K.shape[0], scan.F0.shape[0]
         eps = np.finfo(float).eps
         rho = _CERT_ROUNDING * k * eps
-        coupling = 4 * rho * scan.certificates[1].kappa * op_norm(scan.left) * op_norm(scan.right)
+        coupling = 4 * rho * certificate.kappa * op_norm(scan.left) * op_norm(scan.right)
         for lam, a, b, ok in zip(grid, pole.f_smallest_sv, solve.f_smallest_sv, pole.pair_valid):
             if not ok:
                 continue
-            x = 1.0 / smallest_sv(K - lam * G)
-            Fc = scan.F0 - lam * scan.gram_C - scan.left @ np.linalg.solve(K - lam * G, scan.right)
-            bound = coupling * (op_norm(K) + abs(lam) * op_norm(G)) * x**2 + 2 * _CERT_ROUNDING * m * eps * op_norm(Fc)
+            x = 1.0 / smallest_sv(K - lam * np.eye(k))
+            Fc = scan.F0 - lam * np.eye(m) - scan.left @ np.linalg.solve(K - lam * np.eye(k), scan.right)
+            bound = coupling * (op_norm(K) + abs(lam)) * x**2 + 2 * _CERT_ROUNDING * m * eps * op_norm(Fc)
             assert abs(a - b) <= bound, (lam, a, b, bound)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 2)], ids=["closed-forms", "solve-and-svd"])
@@ -890,7 +922,7 @@ class TestIteratedReduction:
         for (got, m), partition in zip(stages, parts):
             pair = build_pair(H, T, partition)
             C = column_space(partition.chi).basis
-            F0, L, R, _ = _compressed_map(pair, partition)
+            F0, L, R = _compressed_map(pair, partition)
             H, T = F0 - L @ np.linalg.solve(pair.K, R), C.conj().T @ pair.T @ C
             assert m == C.shape[1] and np.array_equal(got, H)
 
@@ -903,7 +935,7 @@ class TestIteratedReduction:
         [(got, m)] = iterated_reduction(H, T, [partition])
         pair = build_pair(H, T, partition)
         C = column_space(partition.chi).basis
-        F0, L, R, _ = _compressed_map(pair, partition)
+        F0, L, R = _compressed_map(pair, partition)
         assert m == C.shape[1] < n
         assert np.array_equal(got, F0 - L @ np.linalg.solve(pair.K, R))
         [(want, _)] = self._reference_reduction(H, T, [partition])
