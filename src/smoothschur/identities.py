@@ -1,7 +1,8 @@
 """Numerical verification of the algebraic identities of the map.
 
-The six basic identities relate H, F, Q, Q_sharp and the zero-extended
-inverses; they hold for every valid pair, Hermitian partition or not.  Each
+The six basic identities relate H, F, Q, Q_sharp and the pair's chibar
+H_chibar^-1 chibar and chibar T^-1 chibar, which the resolvent identity
+relates to each other; they hold for every valid pair, Hermitian or not.  Each
 residual is normalized by 1 + the product of the factor norms so reports are
 comparable across wildly scaled instances, and its gate is residual_rel of
 pair.tol, the partition's Tolerances.  verify_basics forms each difference
@@ -16,6 +17,8 @@ one, and every verdict is the exact one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .operator_core import Tolerances, norm_gate
@@ -25,14 +28,7 @@ from .report import ResidualReport
 
 def _rel_residual(diff, factors, tol: Tolerances):
     """(residual, residual_rel, note) for ||diff|| / (1 + prod ||f||) <= residual_rel."""
-
-    def gate(r, norms):
-        scale = 1.0
-        for n in norms:
-            scale *= n
-        return r / (1.0 + scale), tol.residual_rel
-
-    return norm_gate(diff, factors, gate)
+    return norm_gate(diff, factors, lambda r, norms: (r / (1.0 + math.prod(norms)), tol.residual_rel))
 
 
 def verify_basics(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
@@ -45,9 +41,7 @@ def verify_basics(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
       intertwine_left    H Q                        = chi F
       intertwine_right   Q_sharp H                  = F chi
     """
-    H, chi, chibar = pair.H, pair.chi, pair.chibar
-    G = chibar @ pair.H_chibar_inv @ chibar
-    Tb = chibar @ pair.T_inv_bar @ chibar
+    H, chi, G, Tb = pair.H, pair.chi, pair.chibar_Hinv_chibar, pair.chibar_Tinv_chibar
     F, Q, Qs = data.F, data.Q, data.Q_sharp
     eye = np.eye(pair.dim)
 
@@ -66,14 +60,13 @@ def verify_basics(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
 
 
 def verify_resolvent(pair: FeshbachPair) -> ResidualReport:
-    """Check chibar (T^-1 - Hbar^-1) chibar = chibar T^-1 W_chibar Hbar^-1 chibar."""
-    chibar = pair.chibar
-    W_chibar = chibar @ pair.W @ chibar
-    lhs = chibar @ (pair.T_inv_bar - pair.H_chibar_inv) @ chibar
-    rhs = chibar @ pair.T_inv_bar @ W_chibar @ pair.H_chibar_inv @ chibar
-    factors = (pair.T_inv_bar, W_chibar, pair.H_chibar_inv)
+    """Check chibar T^-1 chibar - chibar Hbar^-1 chibar = (chibar T^-1 chibar) W (chibar Hbar^-1 chibar),
+    normalized by 1 + ||T^-1|| ||chibar W chibar|| ||Hbar^-1||: chibar W chibar is H_chibar - T, and
+    each inverse's norm on ran(chibar) the reciprocal smallest singular value of its block."""
+    G, Tb = pair.chibar_Hinv_chibar, pair.chibar_Tinv_chibar
+    scaled_W_chibar = (pair.H_chibar - pair.T) / pair.block_svs["T"][0] / pair.block_svs["H_chibar"][0]
     report = ResidualReport()
-    report.add("resolvent/identity", *_rel_residual(lhs - rhs, factors, pair.tol))
+    report.add("resolvent/identity", *_rel_residual(Tb - G - Tb @ pair.W @ G, (scaled_W_chibar,), pair.tol))
     return report
 
 

@@ -28,7 +28,6 @@ from .errors import (
 from .operator_core import (
     _BRACKET_SLACK,
     _CERT_ROUNDING,
-    ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
     Tolerances,
@@ -54,8 +53,7 @@ def admissible_subspace_check(pair: FeshbachPair, V: Subspace) -> ResidualReport
     report = ResidualReport()
     chi, tol = pair.chi, pair.tol
     report.add("subspace/contains_ran_chi", op_norm(V.off(chi)) / (1.0 + op_norm(chi)), tol.residual_rel)
-    Tb = pair.chibar @ pair.T_inv_bar @ pair.chibar
-    for label, A in (("T_invariant", pair.T), ("T_inv_bar_invariant", Tb)):
+    for label, A in (("T_invariant", pair.T), ("T_inv_bar_invariant", pair.chibar_Tinv_chibar)):
         report.add(f"subspace/{label}", op_norm(_compress(A, V)[1]), rel_threshold(tol, op_norm(A)))
     return report
 
@@ -74,8 +72,7 @@ def invert_H_via_F(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         raise EffectiveOperatorSingularError(
             f"effective operator not invertible on V: {exc}"
         ) from exc
-    chibar = pair.chibar
-    return data.Q @ F_inv_V @ data.Q_sharp + chibar @ pair.H_chibar_inv @ chibar
+    return data.Q @ F_inv_V @ data.Q_sharp + pair.chibar_Hinv_chibar
 
 
 def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.ndarray:
@@ -94,8 +91,7 @@ def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
             f"H numerically singular: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
         )
     H_inv = np.linalg.inv(H)
-    chi, chibar = pair.chi, pair.chibar
-    return chi @ H_inv @ chi + chibar @ pair.T_inv_bar @ chibar
+    return pair.chi @ H_inv @ pair.chi + pair.chibar_Tinv_chibar
 
 
 @dataclass(frozen=True)
@@ -435,8 +431,8 @@ class _ShiftedScan:
         ok = np.ones(lams.shape, dtype=bool)
         open_ = np.zeros(lams.shape, dtype=bool)
         for residual, factor in checks:
-            ok &= residual <= np.maximum(tol.residual_rel * (factor * hi), ABS_FLOOR)
-            open_ |= residual > np.maximum(tol.residual_rel * (factor * lo), ABS_FLOOR)
+            ok &= residual <= rel_threshold(tol, factor, hi)
+            open_ |= residual > rel_threshold(tol, factor, lo)
         for i in np.flatnonzero(ok & open_):
             norm = op_norm(_shift(A.M, lams[i : i + 1])[0])
             ok[i] = all(residual <= rel_threshold(tol, factor, norm) for residual, factor in checks)

@@ -91,11 +91,18 @@ def as_matrix(M) -> np.ndarray:
 
 
 def op_norm(M) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value.  Raises
+    NonFiniteMatrixError where M has a non-finite entry or its norm overflows."""
     A = np.asarray(M, dtype=complex)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    try:
+        norm = float(np.linalg.norm(A, 2))
+    except np.linalg.LinAlgError:  # the SVD fails on a non-finite entry
+        norm = math.nan
+    if not math.isfinite(norm):
+        raise NonFiniteMatrixError(f"spectral norm is {norm}: a non-finite entry or overflow")
+    return norm
 
 
 def norm_bounds(M) -> tuple[float, float]:
@@ -106,7 +113,8 @@ def norm_bounds(M) -> tuple[float, float]:
     Stability of Numerical Algorithms, 2nd ed., section 6.2); each is widened
     by _BRACKET_SLACK.  The entries are scaled by the largest modulus first,
     so squaring them neither overflows nor underflows.  A non-finite entry
-    gives (nan, nan), which leaves every norm_gate verdict to the exact norm.
+    gives (nan, nan), which leaves every norm_gate verdict to op_norm, and so
+    raises NonFiniteMatrixError.
     """
     mags = np.abs(np.asarray(M))
     if mags.size == 0:
@@ -158,14 +166,10 @@ def norm_exceeds(M, limit: float) -> bool:
     return value > bound
 
 
-def rel_threshold(tol: Tolerances, *norms: float) -> float:
-    """Residual acceptance relative to the factor norms, with absolute floor."""
-    scale = 1.0
-    for n in norms:
-        scale *= n
-    if scale <= 0.0:
-        return ABS_FLOOR
-    return max(tol.residual_rel * scale, ABS_FLOOR)
+def rel_threshold(tol: Tolerances, *norms):
+    """Residual acceptance relative to the factor norms, with absolute floor
+    ABS_FLOOR.  Norms may be arrays, which give one threshold per entry."""
+    return np.maximum(tol.residual_rel * math.prod(norms), ABS_FLOOR)
 
 
 @dataclass(frozen=True)

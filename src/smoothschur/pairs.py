@@ -14,14 +14,14 @@ Given a valid pair, the map and its auxiliary operators are
 
 with H_chi = T + chi*W*chi.  ran(chi) and ran(chibar) are the partition's.
 The pair keeps T and H_chibar on ran(chibar) as k x k blocks in the
-coordinates of its orthonormal basis B, and the map solves against the block
-K = B*H_chibar B.  Every product with a basis goes through its Subspace, so
-a range that is the whole space, whose basis is the identity, costs none: K
-is H_chibar itself.  What only some callers read is built on first read and
-kept: the zero-extended n x n inverses, the singular values of H and the
-coupling norm ||chibar W T^-1 chibar||.  _compressed_map gives the blocks of
-F compressed to ran(chi), which the spectral scan and the iterated reduction
-read.
+coordinates of its orthonormal basis B, T_block and K.  Every product with a
+basis goes through its Subspace, so a range that is the whole space, whose
+basis is the identity, costs none: K is H_chibar itself.  What only some
+callers read is built on first read and kept: chibar H_chibar^{-1} chibar and
+chibar T^{-1} chibar, one solve against K or T_block each, which the map, the
+identities and the inverse formulas read; T^{-1} zero-extended off
+ran(chibar); the singular values of H; and ||chibar W T^-1 chibar||.
+_compressed_map gives F compressed to ran(chi), for the scan and reduction.
 
 The commutation gates of (a) and the leak gates of (b) are decided by
 operator_core.rel_gate from norm brackets: the evidence records an upper
@@ -45,6 +45,7 @@ from .errors import (
     CommutationError,
     ContractionError,
     DimensionMismatchError,
+    NonFiniteMatrixError,
     SingularRestrictionError,
     SubspaceLeakError,
 )
@@ -154,9 +155,16 @@ class FeshbachPair:
         return self.ran_chibar.zero_extended_inverse(self.T_block)
 
     @cached_property
-    def H_chibar_inv(self) -> np.ndarray:
-        """H_chibar^{-1} on ran(chibar), extended by zero off it."""
-        return self.ran_chibar.zero_extended_inverse(self.K)
+    def chibar_Hinv_chibar(self) -> np.ndarray:
+        """chibar H_chibar^{-1} chibar = (chibar B) K^{-1} (B* chibar), B the basis of ran(chibar)."""
+        B, chibar = self.ran_chibar, self.chibar
+        return B.restrict(chibar) @ np.linalg.solve(self.K, B.coords(chibar))
+
+    @cached_property
+    def chibar_Tinv_chibar(self) -> np.ndarray:
+        """chibar T^{-1} chibar = (chibar B) T_block^{-1} (B* chibar)."""
+        B, chibar = self.ran_chibar, self.chibar
+        return B.restrict(chibar) @ np.linalg.solve(self.T_block, B.coords(chibar))
 
     @cached_property
     def H_singular_values(self) -> np.ndarray:
@@ -242,22 +250,22 @@ def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:
-    """Compute F, Q, and Q_sharp for a validated pair, solving against the
-    block K = B*H_chibar B on ran(chibar):
+    """Compute F, Q, and Q_sharp for a validated pair from its G = chibar H_chibar^{-1} chibar:
 
-      F       = H_chi - chi W chibar B K^{-1} B* chibar W chi
-      Q       = chi - chibar B K^{-1} B* chibar W chi
-      Q_sharp = chi - chi W chibar B K^{-1} B* chibar
+      F       = H_chi - chi W G W chi
+      Q       = chi - G W chi
+      Q_sharp = chi - chi W G
+
+    Raises NonFiniteMatrixError naming the first of F, Q, Q_sharp that is not finite.
     """
-    chi, chibar, W, K = pair.chi, pair.chibar, pair.W, pair.K
-    B = pair.ran_chibar
-    Bh_chibar = B.coords(chibar)
-    left = B.restrict(chi @ W @ chibar)
-    cross = np.linalg.solve(K, Bh_chibar @ W @ chi)
-    F = pair.H_chi - left @ cross
-    Q = chi - B.restrict(chibar) @ cross
-    Q_sharp = chi - left @ np.linalg.solve(K, Bh_chibar)
-    return FeshbachData(F=F, Q=Q, Q_sharp=Q_sharp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, chi, W = pair.chibar_Hinv_chibar, pair.chi, pair.W
+        chi_W, cross = chi @ W, G @ (W @ chi)
+        data = FeshbachData(F=pair.H_chi - chi_W @ cross, Q=chi - cross, Q_sharp=chi - chi_W @ G)
+    for name, M in (("F", data.F), ("Q", data.Q), ("Q_sharp", data.Q_sharp)):
+        if not np.isfinite(M).all():
+            raise NonFiniteMatrixError(f"{name} has NaN or Inf entries")
+    return data
 
 
 def sufficient_conditions(pair: FeshbachPair) -> ResidualReport:

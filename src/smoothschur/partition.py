@@ -28,7 +28,6 @@ from .errors import (
     PartitionError,
 )
 from .operator_core import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
     Tolerances,
@@ -37,6 +36,7 @@ from .operator_core import (
     norm_exceeds,
     norm_gate,
     rel_gate,
+    rel_threshold,
 )
 from .report import ResidualReport
 
@@ -148,9 +148,8 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
     if not norm_exceeds(chibar, ZERO_NORM):
         raise PartitionError("chibar is (numerically) the zero operator")
 
-    def unity_gate(r, norms):
-        nchi, nchibar = norms
-        return r, max(tol.residual_rel * (1.0 + nchi**2 + nchibar**2), ABS_FLOOR)
+    def unity_gate(r, norms):  # norms: ||chi||, ||chibar||
+        return r, rel_threshold(tol, 1.0 + norms[0] ** 2 + norms[1] ** 2)
 
     evidence = ResidualReport()
     factors = (chi, chibar)

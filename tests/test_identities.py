@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothschur import operator_core
+from smoothschur import identities, operator_core
 from smoothschur import (
     Tolerances,
     build_pair,
     feshbach_map,
     kernel_correspondence,
     make_sharp,
+    op_norm,
+    restricted_inverse,
     sufficient_conditions,
     validate_partition,
     verify_alt_remark,
@@ -65,6 +67,35 @@ def test_resolvent_zero_when_w_chibar_zero():
     assert rep.max_residual <= 1e-15
 
 
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 0.45])
+def test_resolvent_matches_literal_formula(kind, scale, monkeypatch):
+    """verify_resolvent's difference is the literal chibar (T^-1 - Hbar^-1)
+    chibar - chibar T^-1 (chibar W chibar) Hbar^-1 chibar of the
+    zero-extended inverses, and its normalization is 1 + ||T^-1|| ||chibar W
+    chibar|| ||Hbar^-1||, each within rounding."""
+    pair = build_pair(*instance(kind, 8, derived_seed(61, 8), scale))
+    seen = []
+
+    def capture(diff, factors, gate):
+        seen.append((diff, factors, gate))
+        return operator_core.norm_gate(diff, factors, gate)
+
+    monkeypatch.setattr(identities, "norm_gate", capture)
+    entry = verify_resolvent(pair)["resolvent/identity"]
+    ((diff, factors, gate),) = seen
+    chibar = pair.chibar
+    T_inv = restricted_inverse(pair.T, pair.ran_chibar)
+    H_inv = restricted_inverse(pair.H_chibar, pair.ran_chibar)
+    W_chibar = chibar @ pair.W @ chibar
+    literal = chibar @ (T_inv - H_inv) @ chibar - chibar @ T_inv @ W_chibar @ H_inv @ chibar
+    product = op_norm(T_inv) * op_norm(W_chibar) * op_norm(H_inv)
+    assert op_norm(diff - literal) <= 1e-12 * (1 + product)
+    value, limit = gate(1.0, [op_norm(f) for f in factors])
+    assert value == pytest.approx(1.0 / (1.0 + product), rel=1e-12)
+    assert limit == entry.threshold == pair.tol.residual_rel and entry.passed
+
+
 def test_randomized_all_kinds():
     for i in range(150):
         pair = _random_pair(i)
@@ -80,7 +111,7 @@ def test_basics_keep_one_identity_alive_at_a_time():
                                  seed=derived_seed(3, n)))
     pair = build_pair(inst.H, inst.T, inst.partition)
     data = feshbach_map(pair)
-    pair.T_inv_bar, pair.H_chibar_inv  # built before, so the peak is verify_basics' own
+    pair.chibar_Hinv_chibar, pair.chibar_Tinv_chibar  # built before, so the peak is verify_basics' own
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

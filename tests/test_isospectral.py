@@ -12,6 +12,7 @@ from smoothschur import (
     DimensionMismatchError,
     EffectiveOperatorSingularError,
     EmptyGridError,
+    NonFiniteMatrixError,
     OperatorSingularError,
     ReductionStageError,
     SmoothSchurError,
@@ -32,6 +33,7 @@ from smoothschur import (
     op_norm,
     spectral_scan,
     validate_partition,
+    verify_basics,
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
@@ -813,6 +815,27 @@ def test_scan_matches_per_point_reference_on_clustered_blocks(m, k, exponent, se
             assert ok == ref_ok, (lam, margin)
         if ok and ref_ok and not (solved and np.abs(eigs - lam).min() < 1e-3):
             assert abs(sv - ref_sv) <= 1e-12 * (1 + f_norm), (lam, sv, ref_sv)
+
+
+def test_overflow_at_large_scale_is_typed():
+    """At operator scale 1e300, grid points 20 to 22 of the corank-one
+    reference instance lie 0.01 to 3 rank cutoffs from an eigenvalue of the
+    chibar block of H_chibar.  Each pair builds.  F overflows at the first
+    two, and the norm of the finite F at the third: each raises
+    NonFiniteMatrixError, and no RuntimeWarning escapes (pyproject turns
+    one into an error)."""
+    H, T, partition, grid = _reference_instance("corank-one", 3)
+    s, eye = 1e300, np.eye(3)
+    pairs = [build_pair(s * H - s * lam * eye, s * T - s * lam * eye, partition) for lam in grid[20:23]]
+    for pair in pairs[:2]:
+        with pytest.raises(NonFiniteMatrixError, match="^F has"):
+            feshbach_map(pair)
+    data = feshbach_map(pairs[2])
+    assert all(np.isfinite(M).all() for M in (data.F, data.Q, data.Q_sharp))
+    with pytest.raises(NonFiniteMatrixError):
+        op_norm(data.F)
+    with pytest.raises(NonFiniteMatrixError):
+        verify_basics(pairs[2], data)
 
 
 class TestIteratedReduction:

@@ -18,7 +18,16 @@ from smoothschur import (
     restricted_inverse,
 )
 from smoothschur.errors import NonFiniteMatrixError, SubspaceLeakError
-from smoothschur.operator_core import BOUND_NOTE, _compress, _fix_gauge, _kernel_basis, norm_gate
+from smoothschur.operator_core import (
+    ABS_FLOOR,
+    BOUND_NOTE,
+    _compress,
+    _fix_gauge,
+    _kernel_basis,
+    norm_exceeds,
+    norm_gate,
+    rel_threshold,
+)
 
 from conftest import crandn, restricted_map
 
@@ -41,6 +50,15 @@ class TestOpNorm:
 
         with pytest.raises(NonFiniteMatrixError):
             as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "M", [[[1.0, np.inf], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]]]
+    )
+    def test_non_finite_norm_is_typed(self, M):
+        # an SVD that fails, a NaN norm and a norm that overflows all raise
+        # the typed error, not LinAlgError and not a NaN
+        with pytest.raises(NonFiniteMatrixError):
+            op_norm(np.array(M))
 
 
 class TestKernelBasis:
@@ -396,10 +414,20 @@ def test_norm_bounds_bracket_op_norm(kind, rows, cols, seed, exponent):
         assert hi <= math.sqrt(min(M.shape)) * lo * (1 + 1e-9)
 
 
+def test_rel_threshold_of_arrays_is_elementwise():
+    tol = Tolerances(residual_rel=1e-9)
+    norms = np.array([0.0, 1e-5, 1.0, 3.5e7, np.inf])
+    got = rel_threshold(tol, 2.0, norms)
+    assert got.tolist() == [rel_threshold(tol, 2.0, float(x)) for x in norms]
+    assert got[0] == got[1] == ABS_FLOOR and got[2] == 2e-9
+
+
 def test_norm_bounds_edges():
     assert norm_bounds(np.zeros((0, 3))) == (0.0, 0.0)
     assert norm_bounds(np.zeros((2, 3))) == (0.0, 0.0)
     assert all(math.isnan(b) for b in norm_bounds(np.array([[1.0, np.inf]])))
+    with pytest.raises(NonFiniteMatrixError):  # the NaN bracket leaves it to op_norm
+        norm_exceeds(np.array([[1.0, np.inf]]), 1.0)
 
 
 def _exact_verdict(residual, factors, gate):

@@ -55,7 +55,8 @@ class TestBuildPair:
         assert np.allclose(pair.W, [[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(pair.chi @ pair.W @ pair.chi, np.zeros((2, 2)))
         assert np.allclose(pair.H_chibar, np.diag([2.0, 3.0]))
-        assert np.allclose(pair.H_chibar_inv, np.diag([0.0, 1.0 / 3.0]))
+        assert np.allclose(restricted_inverse(pair.H_chibar, pair.ran_chibar), np.diag([0.0, 1.0 / 3.0]))
+        assert np.allclose(pair.chibar_Hinv_chibar, np.diag([0.0, 1.0 / 3.0]))
         assert pair.evidence.passed
 
     def test_zero_perturbation(self):
@@ -78,9 +79,16 @@ class TestBuildPair:
             assert leak.passed and rank.passed
 
     def test_inverses_built_only_when_read(self, worked_pair):
+        # the map builds chibar H_chibar^-1 chibar once and keeps it; it
+        # reads neither chibar T^-1 chibar nor T^-1
+        assert "chibar_Hinv_chibar" not in vars(worked_pair)
         feshbach_map(worked_pair)
+        G = worked_pair.chibar_Hinv_chibar
+        feshbach_map(worked_pair)
+        assert worked_pair.chibar_Hinv_chibar is G
+        assert "chibar_Tinv_chibar" not in vars(worked_pair)
         assert "T_inv_bar" not in vars(worked_pair)
-        assert "H_chibar_inv" not in vars(worked_pair)
+        assert worked_pair.chibar_Tinv_chibar is worked_pair.chibar_Tinv_chibar
         assert worked_pair.T_inv_bar is worked_pair.T_inv_bar
 
     @pytest.mark.parametrize("kind", ["sharp", "smooth", "nonselfadjoint"])
@@ -255,7 +263,8 @@ class TestNeumannInverse:
             q = op_norm(pair.chibar @ pair.W @ pair.T_inv_bar @ pair.chibar)
             assert q < 1
             res = neumann_inverse(pair)
-            rel = op_norm(res.approx_inv - pair.H_chibar_inv) / (1 + op_norm(pair.H_chibar_inv))
+            H_chibar_inv = restricted_inverse(pair.H_chibar, pair.ran_chibar)
+            rel = op_norm(res.approx_inv - H_chibar_inv) / (1 + op_norm(H_chibar_inv))
             assert rel <= 1e-10
             bound = int(np.ceil(np.log(1e-12) / np.log(q))) + 1 if q > 0 else 1
             assert res.terms_used <= bound + 1
@@ -303,7 +312,8 @@ def test_zero_extension_identity_on_ran_chibar():
         inst = generate(spec)
         pair = build_pair(inst.H, inst.T, inst.partition)
         B = pair.ran_chibar.basis
-        assert op_norm(pair.H_chibar_inv @ pair.H_chibar @ B - B) <= 1e-9 * (
+        H_chibar_inv = restricted_inverse(pair.H_chibar, pair.ran_chibar)
+        assert op_norm(H_chibar_inv @ pair.H_chibar @ B - B) <= 1e-9 * (
             1 + op_norm(pair.H_chibar)
         )
 
@@ -331,7 +341,8 @@ def test_block_solves_match_inverse_formulas(kind, n, scale):
         (data.F, ref.F),
         (data.Q, ref.Q),
         (data.Q_sharp, ref.Q_sharp),
-        (pair.H_chibar_inv, G),
+        (pair.chibar_Hinv_chibar, pair.chibar @ G @ pair.chibar),
+        (pair.chibar_Tinv_chibar, pair.chibar @ T_inv @ pair.chibar),
         (pair.T_inv_bar, T_inv),
     ):
         assert op_norm(got - want) <= 1e-12 * (1 + op_norm(want))
@@ -342,6 +353,26 @@ def test_block_solves_match_inverse_formulas(kind, n, scale):
 
     assert verdicts(data) == verdicts(ref)
     assert all(passed for _, passed in verdicts(data))
+
+
+@pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
+def test_pipeline_solves_against_K_once(kind, monkeypatch):
+    """From build_pair through the map, the identity checks and both inverse
+    formulas, K is solved against once: for the pair's chibar H_chibar^-1
+    chibar, which the others read."""
+    blocks, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        blocks.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    pair = build_pair(*instance(kind, 8, derived_seed(41, 8), 0.1))
+    data = feshbach_map(pair)
+    verify_basics(pair, data), verify_resolvent(pair), verify_alt_remark(pair, data)
+    full = Subspace.full(pair.dim)
+    invert_H_via_F(pair, data, full), invert_F_via_H(pair, data, full)
+    assert sum(a is pair.K for a in blocks) == 1
 
 
 def _rotated(partition, rng):
