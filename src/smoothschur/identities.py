@@ -4,7 +4,8 @@ The six basic identities relate H, F, Q, Q_sharp and the pair's chibar
 H_chibar^-1 chibar and chibar T^-1 chibar, which the resolvent identity
 relates to each other; they hold for every valid pair, Hermitian or not.  Each
 residual is normalized by 1 + the product of the factor norms so reports are
-comparable across wildly scaled instances, and its gate is residual_rel of
+comparable across wildly scaled instances (the resolvent identity's 1 is
+max(1, ||T^-1||, ||Hbar^-1||) on ran(chibar)), and its gate is residual_rel of
 pair.tol, the partition's Tolerances.  verify_basics forms each difference
 only when its gate runs, so one identity's matrices are alive at a time.
 
@@ -61,12 +62,17 @@ def verify_basics(pair: FeshbachPair, data: FeshbachData) -> ResidualReport:
 
 def verify_resolvent(pair: FeshbachPair) -> ResidualReport:
     """Check chibar T^-1 chibar - chibar Hbar^-1 chibar = (chibar T^-1 chibar) W (chibar Hbar^-1 chibar),
-    normalized by 1 + ||T^-1|| ||chibar W chibar|| ||Hbar^-1||: chibar W chibar is H_chibar - T, and
-    each inverse's norm on ran(chibar) the reciprocal smallest singular value of its block."""
+    normalized by max(1, ||T^-1||, ||Hbar^-1||) + ||T^-1|| ||chibar W chibar|| ||Hbar^-1||: chibar W
+    chibar is H_chibar - T, and each inverse's norm on ran(chibar) the reciprocal smallest singular
+    value of its block.  The difference scales like the inverses, and so does that floor; a floor of
+    1 fails weakly coupled pairs at a small operator scale on the rounding of chibar T^-1 chibar."""
     G, Tb = pair.chibar_Hinv_chibar, pair.chibar_Tinv_chibar
-    scaled_W_chibar = (pair.H_chibar - pair.T) / pair.block_svs["T"][0] / pair.block_svs["H_chibar"][0]
+    (s_T, _), (s_H, _) = pair.block_svs["T"], pair.block_svs["H_chibar"]
+    scaled_W_chibar = (pair.H_chibar - pair.T) / s_T / s_H
+    floor = max(1.0, 1.0 / s_T, 1.0 / s_H)
+    gate = lambda r, norms: (r / (floor + norms[0]), pair.tol.residual_rel)
     report = ResidualReport()
-    report.add("resolvent/identity", *_rel_residual(Tb - G - Tb @ pair.W @ G, (scaled_W_chibar,), pair.tol))
+    report.add("resolvent/identity", *norm_gate(Tb - G - Tb @ pair.W @ G, (scaled_W_chibar,), gate))
     return report
 
 

@@ -141,21 +141,18 @@ def kernel_correspondence(pair: FeshbachPair, data: FeshbachData) -> KernelCorre
     C = pair.ran_chi
     FC = C.restrict(data.F)
     coeffs = _kernel_basis(FC, np.linalg.svd(FC, compute_uv=False), tol, anchor=data.F)
-    ker_F_basis = C.lift(coeffs.basis)  # orthonormal: C has orthonormal columns
+    ker_F = Subspace(pair.dim, C.lift(coeffs.basis))  # orthonormal: C has orthonormal columns
 
-    P_F = ker_F_basis @ ker_F_basis.conj().T
-    P_H = ker_H.projector()
-    ker_H_basis = ker_H.basis
-    chi_V = chi @ ker_H_basis
-    Q_W = Q @ ker_F_basis
+    chi_V = chi @ ker_H.basis
+    Q_W = Q @ ker_F.basis
 
     return KernelCorrespondence(
         dim_ker_H=ker_H.dim,
         dim_ker_F=coeffs.dim,
-        chi_maps_residual=_max_column_norm(chi_V - P_F @ chi_V),
-        q_maps_residual=_max_column_norm(Q_W - P_H @ Q_W),
+        chi_maps_residual=_max_column_norm(ker_F.off(chi_V)),
+        q_maps_residual=_max_column_norm(ker_H.off(Q_W)),
         roundtrip_residual=max(
-            _max_column_norm(Q @ chi_V - ker_H_basis), _max_column_norm(chi @ Q_W - ker_F_basis)
+            _max_column_norm(Q @ chi_V - ker_H.basis), _max_column_norm(chi @ Q_W - ker_F.basis)
         ),
         threshold=_KERNEL_THRESHOLD,
     )
@@ -189,6 +186,17 @@ def _grid_resolution(grid) -> float:
     gaps = np.hypot(steps.real, steps.imag)
     gaps = gaps[gaps > 0]
     return float(gaps.min()) if gaps.size else 1.0
+
+
+def _dip_minima(svs: np.ndarray, cut: float) -> np.ndarray:
+    """Indices of the eigenvalue candidates among the singular values svs
+    (NaN at a gap): points at or below cut that are a local minimum, strict
+    on the left to break plateau ties, and well below the larger of their
+    neighbours that are not gaps."""
+    dips = np.flatnonzero(svs <= cut)
+    padded = np.concatenate(([np.nan], svs, [np.nan]))
+    mid, left, right = svs[dips], padded[dips], padded[dips + 2]
+    return dips[~(mid >= left) & ~(mid > right) & ~(mid > 0.5 * np.fmax(left, right))]
 
 
 #: Bytes allowed per stacked array in a spectral scan's batched solves.
@@ -379,7 +387,7 @@ class _ShiftedScan:
         ]
         self.blocks = [_Shifted.of(M, True) for M in (fixed.T_block, fixed.K)]
         self.tol = partition.tol
-        self.F0, self.left, self.right = _compressed_map(fixed, partition)
+        self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
         self.poles = self._pole_form(self.blocks[1].certificate)
         self.n = partition.dim
         k, m = partition.ran_chibar.dim, partition.ran_chi.dim
@@ -520,8 +528,8 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
-    flagged, visiting only the points below that cutoff.  The grid is
-    converted once (_grid_points), each entry at complex(entry).  Raises
+    flagged (_dip_minima).  The grid is converted once (_grid_points),
+    each entry at complex(entry).  Raises
     EmptyGridError when the grid is empty, has a non-finite point or an
     entry that is not a number, or is not one-dimensional, and
     DimensionMismatchError when H or T does not match the partition.
@@ -542,32 +550,13 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
         part = slice(start, start + scan.chunk)
         svs[part], valid[part] = scan.points(lams[part])
 
-    resolution = _grid_resolution(lams)
-    cut = _FLAG_SCALE * resolution * (1.0 + op_norm(H))
-    dips = np.flatnonzero(valid & (svs <= cut)).tolist()
-    svs = svs.tolist()
-    valid = valid.tolist()
-    flagged = []
-    for i in dips:
-        left = svs[i - 1] if i > 0 and valid[i - 1] else None
-        right = svs[i + 1] if i + 1 < len(grid) and valid[i + 1] else None
-        # local minimum of the dip; strict on the left to break plateau ties
-        if left is not None and not svs[i] < left:
-            continue
-        if right is not None and not svs[i] <= right:
-            continue
-        # the dip must be genuine: well below the larger finite neighbor
-        finite = [x for x in (left, right) if x is not None]
-        if finite and svs[i] > 0.5 * max(finite):
-            continue
-        flagged.append(grid[i])
-
+    cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + op_norm(H))
     reference = [complex(z) for z in np.linalg.eigvals(H)]
     return ScanResult(
         grid=grid,
-        f_smallest_sv=svs,
-        pair_valid=valid,
-        flagged_eigenvalues=flagged,
+        f_smallest_sv=svs.tolist(),
+        pair_valid=valid.tolist(),
+        flagged_eigenvalues=lams[_dip_minima(svs, cut)].tolist(),
         reference_eigenvalues=reference,
     )
 
@@ -596,7 +585,7 @@ def iterated_reduction(H, T, partitions):
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
-        F0, L, R = _compressed_map(pair, partition)
+        F0, L, R = _compressed_map(pair.T, pair.W, partition)
         H_k = F0 - L @ np.linalg.solve(pair.K, R)
         T_k = C.restrict(C.coords(pair.T))
         stages.append((H_k, m))

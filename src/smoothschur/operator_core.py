@@ -213,13 +213,11 @@ class Subspace:
         return X if self.is_identity else X @ self.basis
 
     def off(self, X: np.ndarray) -> np.ndarray:
-        """(1 - B B^H) X; for the whole space an empty matrix, of norm 0."""
+        """(1 - B B^H) X, as X - B (B^H X) with no n x n projector; for the
+        whole space an empty matrix, of norm 0."""
         if self.is_identity:
             return np.zeros((0, X.shape[1]), dtype=complex)
-        return (np.eye(self.ambient_dim) - self.projector()) @ X
-
-    def projector(self) -> np.ndarray:
-        return self.lift(self.basis.conj().T)
+        return X - self.lift(self.coords(X))
 
     def zero_extended_inverse(self, block: np.ndarray) -> np.ndarray:
         """B block^-1 B^H: the inverse of a k x k block in the coordinates of

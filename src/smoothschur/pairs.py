@@ -13,14 +13,16 @@ Given a valid pair, the map and its auxiliary operators are
   Q_sharp = chi - chi W chibar H_chibar^{-1} chibar
 
 with H_chi = T + chi*W*chi.  ran(chi) and ran(chibar) are the partition's.
-The pair keeps T and H_chibar on ran(chibar) as k x k blocks in the
-coordinates of its orthonormal basis B, T_block and K.  Every product with a
-basis goes through its Subspace, so a range that is the whole space, whose
-basis is the identity, costs none: K is H_chibar itself.  What only some
-callers read is built on first read and kept: chibar H_chibar^{-1} chibar and
-chibar T^{-1} chibar, one solve against K or T_block each, which the map, the
-identities and the inverse formulas read; T^{-1} zero-extended off
-ran(chibar); the singular values of H; and ||chibar W T^-1 chibar||.
+The pair keeps what validation produces: W, H_chibar, and T and H_chibar on
+ran(chibar) as k x k blocks in the coordinates of its orthonormal basis B,
+T_block and K.  No gate reads H_chi, so the pair keeps none; feshbach_map
+and _compressed_map form it.  Every product with a basis goes through its
+Subspace, so a range that is the whole space, whose basis is the identity,
+costs none: K is H_chibar itself.  What only some callers read is built on
+first read and kept, with one solve against K and one against T_block per
+pair: chibar H_chibar^{-1} chibar, which the map, the identities and the
+inverse formulas read; T^{-1} zero-extended off ran(chibar), and from it
+chibar T^{-1} chibar; the singular values of H; and ||chibar W T^-1 chibar||.
 _compressed_map gives F compressed to ran(chi), for the scan and reduction.
 
 The commutation gates of (a) and the leak gates of (b) are decided by
@@ -72,7 +74,6 @@ class _ShiftInvariants(NamedTuple):
     residuals are kept as matrices, each gate taking their norms as it needs."""
 
     W: np.ndarray
-    H_chi: np.ndarray
     H_chibar: np.ndarray
     commutation: tuple  # c T - T c for c = chi, chibar
     T_block: np.ndarray  # B*TB
@@ -82,7 +83,7 @@ class _ShiftInvariants(NamedTuple):
 
 
 def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
-    """W, H_chi, H_chibar, the commutation residuals, and the compressions
+    """W, H_chibar, the commutation residuals, and the compressions
     of T and H_chibar to the partition's ran(chibar) with their leak
     residuals.
 
@@ -104,7 +105,7 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
             f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
         )
     return _ShiftInvariants(
-        W, T + chi @ W @ chi, H_chibar,
+        W, H_chibar,
         tuple(c @ T - T @ c for c in (chi, chibar)),
         *_compress(T, ran_chibar), *_compress(H_chibar, ran_chibar),
     )
@@ -118,7 +119,6 @@ class FeshbachPair:
     T: np.ndarray
     partition: Partition
     W: np.ndarray
-    H_chi: np.ndarray
     H_chibar: np.ndarray
     T_block: np.ndarray  # B*TB, B the orthonormal basis of ran_chibar
     K: np.ndarray  # B*H_chibar B
@@ -162,9 +162,8 @@ class FeshbachPair:
 
     @cached_property
     def chibar_Tinv_chibar(self) -> np.ndarray:
-        """chibar T^{-1} chibar = (chibar B) T_block^{-1} (B* chibar)."""
-        B, chibar = self.ran_chibar, self.chibar
-        return B.restrict(chibar) @ np.linalg.solve(self.T_block, B.coords(chibar))
+        """chibar T^{-1} chibar, from T_inv_bar: T_block is solved against once per pair."""
+        return self.chibar @ (self.T_inv_bar @ self.chibar)
 
     @cached_property
     def H_singular_values(self) -> np.ndarray:
@@ -228,31 +227,32 @@ def build_pair(H, T, partition: Partition) -> FeshbachPair:
         block_svs[label] = (smin, smax)
 
     return FeshbachPair(
-        H=H, T=T, partition=partition, W=fixed.W, H_chi=fixed.H_chi, H_chibar=fixed.H_chibar,
+        H=H, T=T, partition=partition, W=fixed.W, H_chibar=fixed.H_chibar,
         T_block=fixed.T_block, K=fixed.K, block_svs=block_svs, evidence=evidence,
     )
 
 
-def _compressed_map(p: FeshbachPair | _ShiftInvariants, partition: Partition):
-    """The blocks (F0, L, R) of F compressed to ran(chi), for a pair or its
-    _ShiftInvariants p, C the basis of the partition's ran(chi) and B that of
-    its ran(chibar):
+def _compressed_map(T, W, partition: Partition):
+    """The blocks (F0, L, R) of the map of (T + W, T) compressed to ran(chi),
+    C the basis of the partition's ran(chi) and B that of its ran(chibar):
 
       C*FC = F0 - L K^{-1} R,   F0 = C*H_chi C,   L = C*chi W chibar B,
-                                R = B*chibar W chi C.
+                                R = B*chibar W chi C,
 
-    A common shift lam of H and T moves F0 and K by -lam: C and B are
+    with H_chi = T + chi W chi formed here, as feshbach_map forms it.  A
+    common shift lam of H and T moves F0 and K by -lam: C and B are
     orthonormal, so C*C and B*B are the identity up to rounding.
     """
-    chi, chibar, W = partition.chi, partition.chibar, p.W
+    chi, chibar = partition.chi, partition.chibar
     B, C = partition.ran_chibar, partition.ran_chi
-    return C.restrict(C.coords(p.H_chi)), B.restrict(C.coords(chi) @ W @ chibar), C.restrict(B.coords(chibar) @ W @ chi)
+    H_chi = T + chi @ W @ chi
+    return C.restrict(C.coords(H_chi)), B.restrict(C.coords(chi) @ W @ chibar), C.restrict(B.coords(chibar) @ W @ chi)
 
 
 def feshbach_map(pair: FeshbachPair) -> FeshbachData:
     """Compute F, Q, and Q_sharp for a validated pair from its G = chibar H_chibar^{-1} chibar:
 
-      F       = H_chi - chi W G W chi
+      F       = T + chi W chi - chi W G W chi
       Q       = chi - G W chi
       Q_sharp = chi - chi W G
 
@@ -261,7 +261,7 @@ def feshbach_map(pair: FeshbachPair) -> FeshbachData:
     with np.errstate(over="ignore", invalid="ignore"):
         G, chi, W = pair.chibar_Hinv_chibar, pair.chi, pair.W
         chi_W, cross = chi @ W, G @ (W @ chi)
-        data = FeshbachData(F=pair.H_chi - chi_W @ cross, Q=chi - cross, Q_sharp=chi - chi_W @ G)
+        data = FeshbachData(F=pair.T + chi_W @ chi - chi_W @ cross, Q=chi - cross, Q_sharp=chi - chi_W @ G)
     for name, M in (("F", data.F), ("Q", data.Q), ("Q_sharp", data.Q_sharp)):
         if not np.isfinite(M).all():
             raise NonFiniteMatrixError(f"{name} has NaN or Inf entries")

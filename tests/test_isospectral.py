@@ -37,7 +37,7 @@ from smoothschur import (
     worked_2x2,
 )
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
-from smoothschur.isospectral import _POLE_MAX_COND, _Shifted, _ShiftedScan, _grid_resolution
+from smoothschur.isospectral import _POLE_MAX_COND, _Shifted, _ShiftedScan, _dip_minima, _grid_resolution
 from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
 from smoothschur.pairs import _compressed_map
 
@@ -165,7 +165,7 @@ class TestInverseFormulas:
                 1 + op_norm(S) * op_norm(data.F)
             )
             # S maps V into V
-            leak = op_norm((np.eye(n) - V.projector()) @ S @ B)
+            leak = op_norm((np.eye(n) - B @ B.conj().T) @ S @ B)
             assert leak <= 1e-9 * (1 + op_norm(S))
 
 
@@ -278,7 +278,7 @@ def _kernel_residuals_by_vector(pair, data):
     ker_H = kernel_basis(pair.H)
     B = column_space(chi).basis
     ker_F = B @ kernel_basis(data.F @ B).basis
-    P_F, P_H = ker_F @ ker_F.conj().T, ker_H.projector()
+    P_F, P_H = ker_F @ ker_F.conj().T, ker_H.basis @ ker_H.basis.conj().T
     chi_res = q_res = roundtrip = 0.0
     for v in ker_H.basis.T:
         cv = chi @ v
@@ -289,6 +289,26 @@ def _kernel_residuals_by_vector(pair, data):
         q_res = max(q_res, np.linalg.norm(qw - P_H @ qw))
         roundtrip = max(roundtrip, np.linalg.norm(chi @ qw - w))
     return chi_res, q_res, roundtrip
+
+
+def _dip_minima_by_loop(svs, cut):
+    """_dip_minima one dip at a time."""
+    valid = [not np.isnan(x) for x in svs]
+    flagged = []
+    for i, x in enumerate(svs):
+        if not (valid[i] and x <= cut):
+            continue
+        left = svs[i - 1] if i > 0 and valid[i - 1] else None
+        right = svs[i + 1] if i + 1 < len(svs) and valid[i + 1] else None
+        if left is not None and not x < left:
+            continue
+        if right is not None and not x <= right:
+            continue
+        finite = [y for y in (left, right) if y is not None]
+        if finite and x > 0.5 * max(finite):
+            continue
+        flagged.append(i)
+    return flagged
 
 
 def _grid_resolution_by_loop(grid):
@@ -429,6 +449,16 @@ class TestSpectralScan:
         for grid in grids:
             assert _grid_resolution(grid) == _grid_resolution_by_loop(grid), grid
 
+    def test_dip_minima_match_loop(self):
+        # few distinct values, so ties and gaps (NaN) next to dips are common
+        rng = np.random.default_rng(103)
+        values = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, np.nan])
+        for i in range(600):
+            size = 1 + i % 11
+            svs = rng.choice(values, size) if i % 2 else np.where(rng.random(size) < 0.2, np.nan, rng.random(size))
+            cut = (0.0, 0.2, 0.5, 2.0)[i % 4]
+            assert _dip_minima(svs, cut).tolist() == _dip_minima_by_loop(svs, cut), (svs, cut)
+
     def test_empty_grid(self):
         inst = worked_2x2()
         with pytest.raises(EmptyGridError):
@@ -540,7 +570,7 @@ class TestSpectralScan:
         H, T, partition, _ = _reference_instance(kind, 8)
         pair = build_pair(H, T, partition)
         scan = _ShiftedScan(H, T, partition)
-        want = _compressed_map(pair, partition)
+        want = _compressed_map(pair.T, pair.W, partition)
         for got, block in zip((scan.F0, scan.left, scan.right), want, strict=True):
             assert np.array_equal(got, block)
 
@@ -945,7 +975,7 @@ class TestIteratedReduction:
         for (got, m), partition in zip(stages, parts):
             pair = build_pair(H, T, partition)
             C = column_space(partition.chi).basis
-            F0, L, R = _compressed_map(pair, partition)
+            F0, L, R = _compressed_map(pair.T, pair.W, partition)
             H, T = F0 - L @ np.linalg.solve(pair.K, R), C.conj().T @ pair.T @ C
             assert m == C.shape[1] and np.array_equal(got, H)
 
@@ -958,7 +988,7 @@ class TestIteratedReduction:
         [(got, m)] = iterated_reduction(H, T, [partition])
         pair = build_pair(H, T, partition)
         C = column_space(partition.chi).basis
-        F0, L, R = _compressed_map(pair, partition)
+        F0, L, R = _compressed_map(pair.T, pair.W, partition)
         assert m == C.shape[1] < n
         assert np.array_equal(got, F0 - L @ np.linalg.solve(pair.K, R))
         [(want, _)] = self._reference_reduction(H, T, [partition])

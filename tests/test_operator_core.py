@@ -280,6 +280,20 @@ class TestRestrictedMap:
         assert V.off(X).shape == (0, 2)
         assert not Subspace(4, np.eye(4)[:, ::-1].astype(complex)).is_identity
 
+    def test_off_is_the_complement_projection(self):
+        # off(X) is (1 - BB*)X on the identity, empty and proper bases; on
+        # the identity basis it is an empty matrix, of the same norm 0
+        rng = np.random.default_rng(3)
+        X = crandn(rng, 6, 3)
+        proper, _ = np.linalg.qr(crandn(rng, 6, 2))
+        for V in (Subspace.full(6), Subspace.empty(6), Subspace(6, proper)):
+            B = V.basis
+            want = (np.eye(6) - B @ B.conj().T) @ X
+            got = V.off(X)
+            assert op_norm(got) == pytest.approx(op_norm(want), abs=1e-14)
+            if not V.is_identity:
+                assert np.allclose(got, want, rtol=0, atol=1e-14)
+
 
 class TestRestrictedInverse:
     def test_scalar_inversion_on_axis(self):
@@ -323,7 +337,7 @@ class TestRestrictedInverse:
         V = Subspace(6, B)
         A = B @ crandn(rng, 3, 3) @ B.conj().T + np.eye(6)
         G = restricted_inverse(A, V)
-        comp = np.eye(6) - V.projector()
+        comp = np.eye(6) - B @ B.conj().T
         assert op_norm(G @ comp) == pytest.approx(0.0, abs=1e-12)
 
 

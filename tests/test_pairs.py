@@ -357,9 +357,10 @@ def test_block_solves_match_inverse_formulas(kind, n, scale):
 
 @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS])
 def test_pipeline_solves_against_K_once(kind, monkeypatch):
-    """From build_pair through the map, the identity checks and both inverse
-    formulas, K is solved against once: for the pair's chibar H_chibar^-1
-    chibar, which the others read."""
+    """From build_pair through the map, the identity checks, the sufficient
+    conditions, the Neumann series and both inverse formulas, K is solved
+    against once, for the pair's chibar H_chibar^-1 chibar, and T_block once,
+    for T_inv_bar; the others read those."""
     blocks, solve = [], np.linalg.solve
 
     def recording(a, b):
@@ -372,7 +373,9 @@ def test_pipeline_solves_against_K_once(kind, monkeypatch):
     verify_basics(pair, data), verify_resolvent(pair), verify_alt_remark(pair, data)
     full = Subspace.full(pair.dim)
     invert_H_via_F(pair, data, full), invert_F_via_H(pair, data, full)
+    sufficient_conditions(pair), neumann_inverse(pair)
     assert sum(a is pair.K for a in blocks) == 1
+    assert sum(a is pair.T_block for a in blocks) == 1
 
 
 def _rotated(partition, rng):
