@@ -221,7 +221,7 @@ def cmd_fuzz(args) -> int:
         spec = InstanceSpec(
             dim=dims[trial % len(dims)],
             partition_kind=kinds[trial % len(kinds)],
-            perturbation_scale=scales[trial % len(scales)],
+            perturbation_scale=scales[(trial // len(kinds)) % len(scales)],
             seed=derived_seed(args.seed, trial),
         )
         inst = generate(spec, tol)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EffectiveOperatorSingularError,
     EmptyGridError,
+    NonFiniteMatrixError,
     OperatorSingularError,
     ReductionStageError,
     SingularRestrictionError,
@@ -199,7 +200,8 @@ def _dip_minima(svs: np.ndarray, cut: float) -> np.ndarray:
     return dips[~(mid >= left) & ~(mid > right) & ~(mid > 0.5 * np.fmax(left, right))]
 
 
-#: Bytes allowed per stacked array in a spectral scan's batched solves.
+#: Bytes allowed per stacked array in a spectral scan's batched gates,
+#: SVDs and solves.
 _SCAN_CHUNK_BYTES = 256 * 1024
 
 #: Eigenvalue candidates dip below this many grid resolutions, times 1 + ||H||.
@@ -229,6 +231,13 @@ def _frobenius(mags: np.ndarray, extra=0.0) -> np.ndarray:
     scale = np.where(top > 0.0, top, 1.0)
     mags = mags / scale
     return top * np.sqrt((mags * mags).sum(axis=0) + (extra / scale) ** 2)
+
+
+def _chunks(idx: np.ndarray, point_bytes: int):
+    """idx in consecutive pieces, each of at most _SCAN_CHUNK_BYTES //
+    point_bytes entries (at least one), for a stack of point_bytes per entry."""
+    step = max(1, _SCAN_CHUNK_BYTES // point_bytes)
+    return (idx[start : start + step] for start in range(0, len(idx), step))
 
 
 def _shift(M: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -330,6 +339,15 @@ class _ShiftedScan:
     the points a block's certificate leaves open to the SVD, and for the
     batched solve.
 
+    A scan takes two passes, each chunked (_chunks) by its own footprint
+    per shift under _SCAN_CHUNK_BYTES.  valid runs the threshold gates and
+    the rank tests over the whole grid, O(n) numbers per shift, and the
+    rank tests stack their open k x k blocks in sub-chunks of the same
+    budget.  smallest_svs then forms F_c only at the valid shifts, at
+    self.point_bytes per shift (k x k, k x m and m x m numbers).  A batched
+    SVD, solve or product returns each matrix as it would in any other
+    stack, so the chunking changes no answer.
+
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
     the certificate's K = V diag(w) V^-1 it is taken in pole form,
@@ -391,7 +409,7 @@ class _ShiftedScan:
         self.poles = self._pole_form(self.blocks[1].certificate)
         self.n = partition.dim
         k, m = partition.ran_chibar.dim, partition.ran_chi.dim
-        self.chunk = max(1, _SCAN_CHUNK_BYTES // (16 * max(k * k, k * m, m * m, self.n)))
+        self.point_bytes = 16 * max(k * k, k * m, m * m)
 
     def _pole_form(self, certificate: _EigenCertificate | None):
         """(w, L V, V^-1 R) from the certificate of K, or None where the
@@ -401,18 +419,28 @@ class _ShiftedScan:
         with np.errstate(all="ignore"):
             return certificate.w, self.left @ certificate.V, np.linalg.solve(certificate.V, self.right)
 
-    def points(self, lams: np.ndarray):
-        """(smallest sv of F_c, pair valid) at each finite shift in lams."""
-        sv = np.full(lams.shape, np.nan)
-        idx = np.arange(len(lams))
-        for gate in self.gates:
-            idx = idx[self._within_thresholds(*gate, lams[idx])]
-        for block in self.blocks:
-            idx = idx[self._nonsingular(block, lams[idx])]
-        at = lams[idx]
+    def valid(self, lams: np.ndarray) -> np.ndarray:
+        """Indices of the shifts in lams where the shifted pair is valid.
+
+        Each gate reads O(n) numbers per shift, so the shifts run in chunks
+        of _SCAN_CHUNK_BYTES // (16 n), every gate once per chunk.
+        """
+        found = []
+        for idx in _chunks(np.arange(len(lams)), 16 * self.n):
+            for gate in self.gates:
+                idx = idx[self._within_thresholds(*gate, lams[idx])]
+            for block in self.blocks:
+                idx = idx[self._nonsingular(block, lams[idx])]
+            found.append(idx)
+        return np.concatenate(found)
+
+    def smallest_svs(self, at: np.ndarray) -> np.ndarray:
+        """The smallest singular value of F_c at each valid shift in at, NaN
+        where F_c is not finite; at is one chunk at self.point_bytes."""
+        sv = np.full(at.shape, np.nan)
         with np.errstate(all="ignore"):
             if self.poles is None:
-                right = np.broadcast_to(self.right, (len(idx),) + self.right.shape)
+                right = np.broadcast_to(self.right, (len(at),) + self.right.shape)
                 coupling = self.left @ np.linalg.solve(_shift(self.blocks[1].M, at), right)
             else:
                 w, left, right = self.poles
@@ -421,10 +449,10 @@ class _ShiftedScan:
             finite = np.isfinite(Fc).all(axis=(1, 2))
             Fc = Fc[finite]
             if Fc.shape[-1] == 1:  # m = 1: sigma_min(F_c) is |F_c|
-                sv[idx[finite]] = np.abs(Fc[:, 0, 0])
-            else:
-                sv[idx[finite]] = np.linalg.svd(Fc, compute_uv=False)[:, -1]
-        return sv, ~np.isnan(sv)
+                sv[finite] = np.abs(Fc[:, 0, 0])
+            elif finite.any():
+                sv[finite] = np.linalg.svd(Fc, compute_uv=False)[:, -1]
+        return sv
 
     def _within_thresholds(self, A: _Shifted, checks, lams) -> np.ndarray:
         """Whether every residual passes its threshold at ||A - lam||.
@@ -458,11 +486,12 @@ class _ShiftedScan:
         ok = np.zeros(lams.shape, dtype=bool)
         if certificate is not None:
             ok = certificate.clears(lams, _rank_cutoff(block.norms(lams)[:, None], M.shape, self.tol))
-        open_ = np.flatnonzero(~ok)
-        stack = _shift(M, lams[open_])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        s = np.linalg.svd(stack[finite], compute_uv=False)
-        ok[open_[finite]] = s[:, -1] > _rank_cutoff(s, M.shape, self.tol)
+        for idx in _chunks(np.flatnonzero(~ok), 16 * M.size):
+            stack = _shift(M, lams[idx])
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            if finite.any():
+                s = np.linalg.svd(stack[finite], compute_uv=False)
+                ok[idx[finite]] = s[:, -1] > _rank_cutoff(s, M.shape, self.tol)
         return ok
 
 
@@ -523,8 +552,10 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     or the SVD decides only where those leave the verdict open, so every
     verdict is the exact one.  The coupling term is taken in pole form from
     the eigendecomposition of K, or by a batched solve where that could miss
-    the scan's accuracy (see _ShiftedScan).  The grid runs in chunks of O(1)
-    NumPy calls, each stacked array within about 256 KB.
+    the scan's accuracy (see _ShiftedScan).  The scan takes two passes: the
+    validity gates over the whole grid, then F_c and its SVD at the valid
+    points alone.  Each runs in chunks of O(1) NumPy calls, sized so that
+    every stacked array stays within about 256 KB (_SCAN_CHUNK_BYTES).
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
@@ -544,11 +575,10 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     if not finite.all():
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
     scan = _ShiftedScan(H, T, partition)
-    svs = np.empty(len(grid))
-    valid = np.empty(len(grid), dtype=bool)
-    for start in range(0, len(grid), scan.chunk):
-        part = slice(start, start + scan.chunk)
-        svs[part], valid[part] = scan.points(lams[part])
+    svs = np.full(len(grid), np.nan)
+    for at in _chunks(scan.valid(lams), scan.point_bytes):
+        svs[at] = scan.smallest_svs(lams[at])
+    valid = ~np.isnan(svs)
 
     cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + op_norm(H))
     reference = [complex(z) for z in np.linalg.eigvals(H)]
@@ -569,7 +599,9 @@ def iterated_reduction(H, T, partitions):
     T is carried along by compression, C*TC.  Each partition must match the
     stage's dimension, and its ran(chi) must be a proper subspace, so
     dimensions strictly decrease.  Returns a list of (effective_operator,
-    subspace_dim) per stage, innermost last.
+    subspace_dim) per stage, innermost last.  Raises ReductionStageError for
+    a stage whose pair is invalid or whose effective operator is not finite
+    (a NonFiniteMatrixError cause).
     """
     H_k = as_matrix(H)
     T_k = as_matrix(T)
@@ -585,9 +617,12 @@ def iterated_reduction(H, T, partitions):
             raise ReductionStageError(
                 k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
             )
-        F0, L, R = _compressed_map(pair.T, pair.W, partition)
-        H_k = F0 - L @ np.linalg.solve(pair.K, R)
-        T_k = C.restrict(C.coords(pair.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            F0, L, R = _compressed_map(pair.T, pair.W, partition)
+            H_k = F0 - L @ np.linalg.solve(pair.K, R)
+            T_k = C.restrict(C.coords(pair.T))
+        if not np.isfinite(H_k).all():
+            raise ReductionStageError(k, NonFiniteMatrixError("effective operator has NaN or Inf entries"))
         stages.append((H_k, m))
     return stages
 

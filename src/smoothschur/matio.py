@@ -21,8 +21,8 @@ def matrix_to_dict(M) -> dict:
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "re": [float(x) for x in A.real.ravel(order="C")],
-        "im": [float(x) for x in A.imag.ravel(order="C")],
+        "re": A.real.ravel().tolist(),
+        "im": A.imag.ravel().tolist(),
     }
 
 
@@ -49,10 +49,9 @@ def matrix_from_dict(obj: dict, source: str = "<dict>") -> np.ndarray:
         im = np.array(obj["im"], dtype=float).reshape(rows, cols)
     except OverflowError:
         raise MatrixFileError(f"{source}: entry out of float range") from None
-    A = re + 1j * im
-    if not np.all(np.isfinite(A)):
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise MatrixFileError(f"{source}: non-finite entry")
-    return A
+    return re + 1j * im
 
 
 def write_matrix(path, M) -> None:

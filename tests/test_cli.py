@@ -1,16 +1,21 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothschur import cli
 from smoothschur.cli import main
 from smoothschur.errors import MatrixFileError
+from smoothschur.instances import KINDS, generate
 from smoothschur.matio import matrix_from_dict, read_matrix, write_matrix
 
 from conftest import crandn
+
+GOLDEN_CRITERION_6 = Path(__file__).parent / "data" / "criterion6_worked2x2.csv"
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
@@ -56,6 +61,15 @@ class TestMatrixIO:
     def test_non_numeric_token_names_index(self):
         obj = {"rows": 2, "cols": 1, "re": [1.0, "x"], "im": [0.0, 0.0]}
         with pytest.raises(MatrixFileError, match="index 1"):
+            matrix_from_dict(obj)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_infinite_entry_is_non_finite(self, part):
+        # JSON's Infinity parses to a float; it is rejected before the parts
+        # are combined, so an infinite imaginary part warns of nothing
+        obj = {"rows": 1, "cols": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]}
+        obj[part][1] = float("inf")
+        with pytest.raises(MatrixFileError, match="non-finite entry"):
             matrix_from_dict(obj)
 
     def test_wrong_entry_count(self):
@@ -181,6 +195,21 @@ class TestScan:
         for eig in ((5 - np.sqrt(5)) / 2, (5 + np.sqrt(5)) / 2):
             assert min(abs(z - eig) for z in flagged) <= 0.01
 
+    def test_criterion_6_csv_matches_golden(self, tmp_path):
+        # the committed CSV is the criterion-6 scan as recorded with NumPy
+        # 2.4; the grid and the validity column must match it exactly, and
+        # sigma to within the rounding another LAPACK or BLAS build may move
+        csv_path = tmp_path / "scan.csv"
+        assert main(["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "5",
+                     "--re-count", "5001", "--out", str(csv_path)]) == 0
+        got = [line.split(",") for line in csv_path.read_text().splitlines()]
+        want = [line.split(",") for line in GOLDEN_CRITERION_6.read_text().splitlines()]
+        assert len(got) == len(want) == 5002 and got[0] == want[0]
+        for column in (0, 1, 3):
+            assert [row[column] for row in got] == [row[column] for row in want]
+        sv = np.array([float(row[2]) for row in got[1:]])
+        np.testing.assert_allclose(sv, [float(row[2]) for row in want[1:]], rtol=1e-12, atol=1e-15)
+
     def test_empty_grid_exits_2(self):
         code = main(["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "1",
                      "--re-count", "0"])
@@ -268,6 +297,20 @@ class TestFuzz:
         assert main(["fuzz", "--trials", "2", "--seed", "1", "--res-tol", "1e-30", "--json", str(path)]) == 1
         payload = json.loads(path.read_text())
         assert payload["failures"] >= 2 and payload["summary"]["pass"] is False
+
+    def test_trials_cover_every_kind_and_scale(self, monkeypatch):
+        # the kind cycles fastest and the scale once per round of kinds, so
+        # nine trials draw each of the nine kind x scale pairs once
+        specs = []
+
+        def recording(spec, tol):
+            specs.append(spec)
+            return generate(spec, tol)
+
+        monkeypatch.setattr(cli, "generate", recording)
+        assert main(["fuzz", "--trials", "9", "--seed", "2"]) == 0
+        pairs = {(spec.partition_kind, spec.perturbation_scale) for spec in specs}
+        assert len(specs) == 9 and pairs == {(kind, scale) for kind in KINDS for scale in (0.0, 0.1, 0.45)}
 
     def test_bad_kind_exits_2(self):
         assert main(["fuzz", "--trials", "1", "--kinds", "bogus"]) == 2

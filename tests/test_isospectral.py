@@ -36,6 +36,7 @@ from smoothschur import (
     verify_basics,
     worked_2x2,
 )
+from smoothschur import isospectral
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
 from smoothschur.isospectral import _POLE_MAX_COND, _Shifted, _ShiftedScan, _dip_minima, _grid_resolution
 from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
@@ -393,6 +394,21 @@ def stacked_solves(monkeypatch):
     return _stacked_counter(monkeypatch, "solve")
 
 
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """A one-item list counting the calls of _ShiftedScan._within_thresholds,
+    one per threshold gate per chunk of the validity pass."""
+    count = [0]
+    original = _ShiftedScan._within_thresholds
+
+    def counting(self, *args):
+        count[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(_ShiftedScan, "_within_thresholds", counting)
+    return count
+
+
 def _far_shifts(H, T, partition, grid):
     """The shifts of the grid at least 1e-3 from every chibar-block eigenvalue."""
     eigs = np.concatenate([np.linalg.eigvals(b) for b in _chibar_blocks(H, T, partition)])
@@ -659,6 +675,58 @@ class TestSpectralScan:
         assert stacked_solves[0] == (sum(result.pair_valid) if solved else 0)
 
     @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
+    @pytest.mark.parametrize("dim", [3, 8, 32])
+    def test_chunking_leaves_every_answer_bit_identical(self, kind, dim, monkeypatch):
+        # a batched SVD, solve or product returns each matrix as it would in
+        # any other stack, so a scan one shift at a time and one in a single
+        # chunk of each pass agree to the bit
+        H, T, partition, grid = _reference_instance(kind, dim)
+        results = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", budget)
+            results.append(spectral_scan(H, T, partition, grid))
+        assert any(results[0].pair_valid)
+        assert repr(results[0].to_dict()) == repr(results[1].to_dict())
+
+    def test_every_stack_is_within_the_budget(self, monkeypatch, gate_calls):
+        # K is a Jordan block, so it has no certificate: every shift that
+        # reaches it takes the block SVD, and each F_c the batched solve.  At
+        # 1280 bytes the validity pass takes 10 shifts of n = 8 per chunk,
+        # the k = 5 block SVDs 3 and F_c 3
+        H, T, partition = _conditioned_instance(3, 5, None, 7)
+        grid = np.linspace(0.0, 5.0, 41) + 0.05j
+        want = spectral_scan(H, T, partition, grid)
+        budget = 1280
+        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", budget)
+        stacks = []
+        for name in ("svd", "solve"):
+            original = getattr(np.linalg, name)
+
+            def recording(*args, _original=original, **kwargs):
+                stacks.extend((len(a), a[0].nbytes) for a in args if np.ndim(a) == 3)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        gate_calls[0] = 0
+        got = spectral_scan(H, T, partition, grid)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        assert gate_calls[0] == 2 * 5
+        assert max(count for count, _ in stacks) == 3
+        for count, nbytes in stacks:
+            assert 0 < count <= max(1, budget // nbytes), (count, nbytes)
+
+    def test_validity_gates_run_once_per_chunk(self, gate_calls):
+        # the gates read O(n) numbers per shift, so at n = 64 a chunk holds
+        # 256 shifts and a 200-point grid is one chunk: each threshold gate
+        # runs once for the scan, not once per chunk of F_c stacks
+        H, T, partition, _ = _reference_instance("nonselfadjoint", 64)
+        ev = np.linalg.eigvals(H)
+        grid = (np.linspace(ev.real.min(), ev.real.max(), 20)[None] + 1j * np.linspace(-0.1, 0.1, 10)[:, None]).ravel()
+        assert sum(spectral_scan(H, T, partition, grid).pair_valid) > 0
+        assert isospectral._SCAN_CHUNK_BYTES // (16 * 64) >= len(grid) == 200
+        assert gate_calls[0] == 2
+
+    @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_pole_form_agrees_with_batched_solve(self, kind, dim, monkeypatch):
         # the bound stated in _ShiftedScan: sigma_min of the pole form is within
@@ -866,6 +934,21 @@ def test_overflow_at_large_scale_is_typed():
         op_norm(data.F)
     with pytest.raises(NonFiniteMatrixError):
         verify_basics(pairs[2], data)
+
+
+def test_non_finite_reduction_stage_is_typed():
+    """The same three points, reduced in one stage: the effective operator
+    overflows at the first two, which raise ReductionStageError with a
+    NonFiniteMatrixError cause, and is finite at the third."""
+    H, T, partition, grid = _reference_instance("corank-one", 3)
+    s, eye = 1e300, np.eye(3)
+    for lam in grid[20:22]:
+        with pytest.raises(ReductionStageError, match="NaN or Inf") as err:
+            iterated_reduction(s * H - s * lam * eye, s * T - s * lam * eye, [partition])
+        assert err.value.stage == 0
+        assert isinstance(err.value.cause, NonFiniteMatrixError)
+    [(stage, m)] = iterated_reduction(s * H - s * grid[22] * eye, s * T - s * grid[22] * eye, [partition])
+    assert m == partition.ran_chi.dim and np.isfinite(stage).all()
 
 
 class TestIteratedReduction:
