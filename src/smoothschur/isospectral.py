@@ -11,6 +11,8 @@ partition in hand (pair.tol for a pair); none of these functions takes one.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -201,8 +203,11 @@ def _dip_minima(svs: np.ndarray, cut: float) -> np.ndarray:
 
 
 #: Bytes allowed per stacked array in a spectral scan's batched gates,
-#: SVDs and solves.
-_SCAN_CHUNK_BYTES = 256 * 1024
+#: SVDs and solves.  The budget is per worker: the F_c pass holds about two
+#: stacks per worker at once (see spectral_scan).  At n = 64 a chunk holds
+#: 8 F_c matrices, and NumPy 2.4's batched SVD keeps the GIL over a stack of
+#: 4 or 6 64 x 64 matrices but drops it over 8, so the workers overlap.
+_SCAN_CHUNK_BYTES = 512 * 1024
 
 #: Eigenvalue candidates dip below this many grid resolutions, times 1 + ||H||.
 _FLAG_SCALE = 10.0
@@ -344,9 +349,11 @@ class _ShiftedScan:
     the rank tests over the whole grid, O(n) numbers per shift, and the
     rank tests stack their open k x k blocks in sub-chunks of the same
     budget.  smallest_svs then forms F_c only at the valid shifts, at
-    self.point_bytes per shift (k x k, k x m and m x m numbers).  A batched
-    SVD, solve or product returns each matrix as it would in any other
-    stack, so the chunking changes no answer.
+    self.point_bytes per shift (k x k, k x m and m x m numbers), and holds
+    about two such stacks at once; spectral_scan runs its chunks on several
+    threads, each within the budget.  A batched SVD, solve or product
+    returns each matrix as it would in any other stack, so neither the
+    chunking nor the threads change an answer.
 
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
@@ -436,18 +443,25 @@ class _ShiftedScan:
 
     def smallest_svs(self, at: np.ndarray) -> np.ndarray:
         """The smallest singular value of F_c at each valid shift in at, NaN
-        where F_c is not finite; at is one chunk at self.point_bytes."""
+        where F_c is not finite; at is one chunk at self.point_bytes.
+
+        F_c is assembled in the coupling's own stack, entry by entry as
+        (F0 - lam) - coupling, so no further stack is allocated."""
         sv = np.full(at.shape, np.nan)
         with np.errstate(all="ignore"):
             if self.poles is None:
                 right = np.broadcast_to(self.right, (len(at),) + self.right.shape)
-                coupling = self.left @ np.linalg.solve(_shift(self.blocks[1].M, at), right)
+                Fc = self.left @ np.linalg.solve(_shift(self.blocks[1].M, at), right)
             else:
                 w, left, right = self.poles
-                coupling = left @ (right / (w[:, None] - at[:, None, None]))
-            Fc = _shift(self.F0, at) - coupling
+                Fc = left @ (right / (w[:, None] - at[:, None, None]))
+            diag = np.arange(Fc.shape[-1])
+            coupling_diag = Fc[:, diag, diag]
+            np.subtract(self.F0, Fc, out=Fc)
+            Fc[:, diag, diag] = (np.diagonal(self.F0) - at[:, None]) - coupling_diag
             finite = np.isfinite(Fc).all(axis=(1, 2))
-            Fc = Fc[finite]
+            if not finite.all():
+                Fc = Fc[finite]
             if Fc.shape[-1] == 1:  # m = 1: sigma_min(F_c) is |F_c|
                 sv[finite] = np.abs(Fc[:, 0, 0])
             elif finite.any():
@@ -493,6 +507,46 @@ class _ShiftedScan:
                 s = np.linalg.svd(stack[finite], compute_uv=False)
                 ok[idx[finite]] = s[:, -1] > _rank_cutoff(s, M.shape, self.tol)
         return ok
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shared(chunks: list, work) -> None:
+    """Call work(share) on round-robin shares of chunks, one share per
+    worker, with min(len(chunks), _usable_cpus()) workers (at least one).
+
+    The calling thread takes the first share and a helper thread each of
+    the others, so a single chunk starts no thread.  Every helper is joined
+    before this returns or raises; an exception in the calling thread
+    propagates, and otherwise the first one a helper caught is re-raised.
+    """
+    workers = max(1, min(len(chunks), _usable_cpus()))
+    errors = []
+
+    def helper(share):
+        try:
+            work(share)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=helper, args=(chunks[i::workers],))
+            thread.start()
+            started.append(thread)
+        work(chunks[::workers])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -555,7 +609,12 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     the scan's accuracy (see _ShiftedScan).  The scan takes two passes: the
     validity gates over the whole grid, then F_c and its SVD at the valid
     points alone.  Each runs in chunks of O(1) NumPy calls, sized so that
-    every stacked array stays within about 256 KB (_SCAN_CHUNK_BYTES).
+    every stacked array stays within about 512 KB (_SCAN_CHUNK_BYTES).  The
+    F_c chunks are independent, so they are dealt round-robin to one worker
+    per CPU the process may use, and to no more workers than chunks
+    (_run_shared): the calling thread and a helper thread per further
+    worker, each holding about two stacks at a time.  Each chunk writes
+    only its own points, so the result is bit-identical to one worker's.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
@@ -576,8 +635,12 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
     scan = _ShiftedScan(H, T, partition)
     svs = np.full(len(grid), np.nan)
-    for at in _chunks(scan.valid(lams), scan.point_bytes):
-        svs[at] = scan.smallest_svs(lams[at])
+
+    def fill(share):
+        for at in share:
+            svs[at] = scan.smallest_svs(lams[at])
+
+    _run_shared(list(_chunks(scan.valid(lams), scan.point_bytes)), fill)
     valid = ~np.isnan(svs)
 
     cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + op_norm(H))

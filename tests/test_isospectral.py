@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -371,13 +374,16 @@ def _reference_instance(kind, dim):
 
 def _stacked_counter(monkeypatch, name):
     """A one-item list counting the matrices passed to np.linalg.<name> in
-    stacks; only spectral_scan batches its SVDs and solves over grid points."""
+    stacks; only spectral_scan batches its SVDs and solves over grid points.
+    The F_c pass calls it from several threads, so it counts under a lock."""
     count = [0]
+    lock = threading.Lock()
     original = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         if np.ndim(a) == 3:
-            count[0] += len(a)
+            with lock:
+                count[0] += len(a)
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)
@@ -399,10 +405,12 @@ def gate_calls(monkeypatch):
     """A one-item list counting the calls of _ShiftedScan._within_thresholds,
     one per threshold gate per chunk of the validity pass."""
     count = [0]
+    lock = threading.Lock()
     original = _ShiftedScan._within_thresholds
 
     def counting(self, *args):
-        count[0] += 1
+        with lock:
+            count[0] += 1
         return original(self, *args)
 
     monkeypatch.setattr(_ShiftedScan, "_within_thresholds", counting)
@@ -678,15 +686,89 @@ class TestSpectralScan:
     @pytest.mark.parametrize("dim", [3, 8, 32])
     def test_chunking_leaves_every_answer_bit_identical(self, kind, dim, monkeypatch):
         # a batched SVD, solve or product returns each matrix as it would in
-        # any other stack, so a scan one shift at a time and one in a single
-        # chunk of each pass agree to the bit
+        # any other stack, and each F_c chunk writes only its own points, so
+        # a scan in a single chunk of each pass and one a shift at a time,
+        # its F_c chunks split across one, two or three workers, agree to
+        # the bit
         H, T, partition, grid = _reference_instance(kind, dim)
         results = []
-        for budget in (1, 2**30):
+        for budget, workers in ((2**30, 1), (1, 1), (1, 2), (1, 3)):
             monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", budget)
+            monkeypatch.setattr(isospectral, "_usable_cpus", lambda n=workers: n)
             results.append(spectral_scan(H, T, partition, grid))
-        assert any(results[0].pair_valid)
-        assert repr(results[0].to_dict()) == repr(results[1].to_dict())
+        assert sum(results[0].pair_valid) > 3
+        assert [repr(r.to_dict()) for r in results[1:]] == [repr(results[0].to_dict())] * 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_grid_with_no_valid_point(self, workers, monkeypatch):
+        # T does not commute with chi, so no shift gives a valid pair and the
+        # F_c pass has no chunk to share
+        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: workers)
+        inst = worked_2x2()
+        T = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=complex)
+        result = spectral_scan(inst.H - inst.T + T, T, inst.partition, np.arange(0.0, 5.0, 0.01))
+        assert not any(result.pair_valid)
+        assert all(np.isnan(result.f_smallest_sv))
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert isospectral._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert isospectral._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert isospectral._usable_cpus() == 1
+
+    def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch, stacked_svds):
+        # eight workers, each switching threads every microsecond: every
+        # worker writes only its own points and the counter counts under its
+        # lock, so no update is lost
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 64)
+        far = _far_shifts(H, T, partition, grid)
+        want = repr(spectral_scan(H, T, partition, far).to_dict())
+        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 8)
+        threads = set()
+        original = _ShiftedScan.smallest_svs
+
+        def recording(self, at):
+            threads.add(threading.current_thread())
+            return original(self, at)
+
+        monkeypatch.setattr(_ShiftedScan, "smallest_svs", recording)
+        interval = sys.getswitchinterval()
+        stacked_svds[0] = 0
+        sys.setswitchinterval(1e-6)
+        try:
+            got = spectral_scan(H, T, partition, far)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(got.to_dict()) == want
+        assert len(threads) == 8
+        assert stacked_svds[0] == len(far)
+
+    @pytest.mark.parametrize("raising", ["calling thread", "helper thread"])
+    def test_worker_error_surfaces_unchanged(self, raising, monkeypatch):
+        # an error in either worker leaves spectral_scan as it was raised,
+        # after every helper thread has been joined
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
+        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 2)
+        error = np.linalg.LinAlgError("SVD did not converge")
+        caller = threading.current_thread()
+        original = _ShiftedScan.smallest_svs
+
+        def failing(self, at):
+            if (threading.current_thread() is caller) == (raising == "calling thread"):
+                raise error
+            return original(self, at)
+
+        monkeypatch.setattr(_ShiftedScan, "smallest_svs", failing)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            spectral_scan(H, T, partition, grid)
+        assert raised.value is error
+        assert threading.active_count() == before
 
     def test_every_stack_is_within_the_budget(self, monkeypatch, gate_calls):
         # K is a Jordan block, so it has no certificate: every shift that
@@ -717,7 +799,7 @@ class TestSpectralScan:
 
     def test_validity_gates_run_once_per_chunk(self, gate_calls):
         # the gates read O(n) numbers per shift, so at n = 64 a chunk holds
-        # 256 shifts and a 200-point grid is one chunk: each threshold gate
+        # 512 shifts and a 200-point grid is one chunk: each threshold gate
         # runs once for the scan, not once per chunk of F_c stacks
         H, T, partition, _ = _reference_instance("nonselfadjoint", 64)
         ev = np.linalg.eigvals(H)
@@ -755,10 +837,12 @@ class TestSpectralScan:
             assert abs(a - b) <= bound, (lam, a, b, bound)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 2)], ids=["closed-forms", "solve-and-svd"])
-    def test_overflowing_effective_operator_is_a_gap(self, n, m):
+    def test_overflowing_effective_operator_is_a_gap(self, n, m, monkeypatch):
         # T = diag(2, 3, ...), chi the first m axes and W = 1e160 between
         # ran(chi) and ran(chibar): each shifted pair is valid, but
-        # L (K - lam)^-1 R overflows, so F_c is not finite there
+        # L (K - lam)^-1 R overflows, so F_c is not finite there.  Split
+        # across three workers, each helper thread ignores the overflow too,
+        # though a new thread does not inherit np.errstate
         T = np.diag(np.arange(2.0, 2.0 + n)).astype(complex)
         W = np.zeros((n, n), dtype=complex)
         W[:m, m:] = W[m:, :m] = 1e160
@@ -768,8 +852,12 @@ class TestSpectralScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = spectral_scan(T + W, T, partition, grid)
+            monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
+            monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 3)
+            split = spectral_scan(T + W, T, partition, grid)
         assert result.pair_valid == [False] * len(grid)
         assert all(np.isnan(result.f_smallest_sv))
+        assert repr(split.to_dict()) == repr(result.to_dict())
 
     @pytest.mark.parametrize(
         "diagonal",
