@@ -45,6 +45,12 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(rank_rel=args.rank_tol, residual_rel=args.res_tol)
 
 
+def _write_report(path, tol: Tolerances, **fields) -> None:
+    """Write fields as a JSON report to path, with the schema and tolerances; nothing when path is None."""
+    if path:
+        write_json(path, {"schema": SCHEMA, "tolerances": asdict(tol), **fields})
+
+
 def _load_instance_dir(directory: Path) -> dict:
     mats = {name: read_matrix(directory / f"{name}.json") for name in MATRIX_FILES}
     dims = {name: m.shape for name, m in mats.items()}
@@ -67,10 +73,8 @@ def cmd_gen(args) -> int:
     inst = generate(spec, tol)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "H.json", inst.H)
-    write_matrix(out / "T.json", inst.T)
-    write_matrix(out / "chi.json", inst.partition.chi)
-    write_matrix(out / "chibar.json", inst.partition.chibar)
+    for name, M in zip(MATRIX_FILES, (inst.H, inst.T, inst.partition.chi, inst.partition.chibar)):
+        write_matrix(out / f"{name}.json", M)
     write_json(out / "instance.json", {"schema": SCHEMA, "spec": spec.to_dict()})
     print(f"wrote instance (dim={spec.dim}, kind={spec.partition_kind}) to {out}")
     return 0
@@ -160,11 +164,7 @@ def cmd_scan(args) -> int:
     reach = 10 * _grid_resolution(grid)
     matched = sum(1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= reach)
     print(f"flagged {len(flagged)} candidate(s); reference eigenvalues matched: {matched}/{len(reference)}")
-    if args.json:
-        payload = result.to_dict()
-        payload["schema"] = SCHEMA
-        payload["tolerances"] = asdict(tol)
-        write_json(args.json, payload)
+    _write_report(args.json, tol, **result.to_dict())
     return 0
 
 
@@ -187,18 +187,10 @@ def cmd_reduce(args) -> int:
     f_invertible = bool(s[-1] > _rank_cutoff(s, final.shape, tol))
     print(f"reduction chain: {' -> '.join(str(d) for d in dims)}")
     print(f"H invertible: {h_invertible}; final effective operator invertible: {f_invertible}")
-    if args.json:
-        write_json(
-            args.json,
-            {
-                "schema": SCHEMA,
-                "tolerances": asdict(tol),
-                "dims": dims,
-                "final_smallest_sv": float(s[-1]),
-                "H_invertible": h_invertible,
-                "final_invertible": f_invertible,
-            },
-        )
+    _write_report(
+        args.json, tol, dims=dims, final_smallest_sv=float(s[-1]),
+        H_invertible=h_invertible, final_invertible=f_invertible,
+    )
     return 0 if h_invertible == f_invertible else 1
 
 
@@ -237,21 +229,10 @@ def cmd_fuzz(args) -> int:
     for label in sorted(worst):
         print(f"  max {label}: {worst[label]:.3e}")
     print(f"failures: {failures}")
-    if args.json:
-        write_json(
-            args.json,
-            {
-                "schema": SCHEMA,
-                "tolerances": asdict(tol),
-                "trials": args.trials,
-                "kinds": kinds,
-                "dims": [args.dim_min, args.dim_max],
-                "seed": args.seed,
-                "max_residuals": worst,
-                "failures": failures,
-                "summary": {"pass": failures == 0},
-            },
-        )
+    _write_report(
+        args.json, tol, trials=args.trials, kinds=kinds, dims=[args.dim_min, args.dim_max], seed=args.seed,
+        max_residuals=worst, failures=failures, summary={"pass": failures == 0},
+    )
     return 0 if failures == 0 else 1
 
 

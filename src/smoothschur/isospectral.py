@@ -31,6 +31,7 @@ from .errors import (
 from .operator_core import (
     _BRACKET_SLACK,
     _CERT_ROUNDING,
+    ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
     Tolerances,
@@ -38,6 +39,7 @@ from .operator_core import (
     _kernel_basis,
     _rank_cutoff,
     as_matrix,
+    norm_bounds,
     op_norm,
     rel_threshold,
     restricted_inverse,
@@ -67,7 +69,8 @@ def invert_H_via_F(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         H^{-1} = Q F^{-1} Q_sharp + chibar H_chibar^{-1} chibar.
 
     Raises EffectiveOperatorSingularError when F is not invertible on V,
-    which certifies that H itself is singular.
+    which certifies that H itself is singular, and NonFiniteMatrixError
+    when H^{-1} is not finite (it overflows at the operator's scale).
     """
     try:
         F_inv_V = restricted_inverse(data.F, V, pair.tol)
@@ -75,7 +78,11 @@ def invert_H_via_F(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         raise EffectiveOperatorSingularError(
             f"effective operator not invertible on V: {exc}"
         ) from exc
-    return data.Q @ F_inv_V @ data.Q_sharp + pair.chibar_Hinv_chibar
+    with np.errstate(over="ignore", invalid="ignore"):
+        H_inv = data.Q @ F_inv_V @ data.Q_sharp + pair.chibar_Hinv_chibar
+    if not np.isfinite(H_inv).all():
+        raise NonFiniteMatrixError("H^-1 has NaN or Inf entries")
+    return H_inv
 
 
 def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.ndarray:
@@ -218,6 +225,10 @@ _FLAG_SCALE = 10.0
 #: computed condition number is itself accurate within the slack.
 _CERT_SLACK = 1e-3
 
+#: Relative widening of a threshold gate's bound nu on each side, a few ulps:
+#: nu and the product in rel_threshold each round at two operations.
+_NU_ROUNDING = 4 * np.finfo(float).eps
+
 #: The accuracy a scan keeps: each smallest singular value is within this
 #: times 1 + ||F(lam)|| of the per-point path's (build_pair, feshbach_map),
 #: away from the eigenvalues of the chibar block K (see _ShiftedScan).
@@ -325,6 +336,30 @@ class _Shifted(NamedTuple):
         return _frobenius(np.abs(np.diagonal(self.M)[:, None] - lams), self.off)
 
 
+class _Gate(NamedTuple):
+    """A scan's threshold gate on A: each (residual, factor) check passes
+    where residual <= rel_threshold(tol, factor, ||A - lam||), as in
+    build_pair.  It keeps only residuals above ABS_FLOOR, which the floor
+    no longer passes: each then passes exactly where ||A - lam|| is at least
+    residual / (residual_rel factor), and nu is the largest such bound."""
+
+    A: _Shifted
+    checks: list
+    nu: float
+
+    @classmethod
+    def of(cls, A: np.ndarray, checks, tol: Tolerances) -> "_Gate | None":
+        """The gate over (residual, factor) matrices (a factor None is 1), or None
+        if it keeps no check; a residual under the floor takes no exact norm."""
+        kept = []
+        for residual, factor in checks:
+            if not norm_bounds(residual)[1] <= ABS_FLOOR and (norm := op_norm(residual)) > ABS_FLOOR:
+                kept.append((norm, 1.0 if factor is None else op_norm(factor)))
+        # a bound whose divisor underflows to 0 fails at every shift
+        bounds = [r / d if (d := tol.residual_rel * f) else np.inf for r, f in kept]
+        return cls(_Shifted.of(A, False), kept, max(bounds)) if kept else None
+
+
 class _ShiftedScan:
     """The shifted pairs (H - lam, T - lam) of one partition, for many lam.
 
@@ -337,23 +372,21 @@ class _ShiftedScan:
     _shift_invariants that build_pair uses (which raises
     BlockInvertibilityError when ran(chibar), and so ran(chi), is
     numerically empty) and by _compressed_map.  The exact norms of the
-    commutation and leak residuals are taken once per scan, where build_pair
-    decides the same gates from norm brackets; both reach the exact verdict.
+    commutation and leak residuals are taken once per scan, only for a
+    residual above ABS_FLOOR; each threshold gate, on T and on H_chibar, is
+    one bound nu on ||A - lam|| (_Gate), dropped when it keeps no residual.
     Each operator a shift moves is a _Shifted, whose norms both the
     threshold gates and the rank tests read.  M - lam is stacked only for
     the points a block's certificate leaves open to the SVD, and for the
     batched solve.
 
     A scan takes two passes, each chunked (_chunks) by its own footprint
-    per shift under _SCAN_CHUNK_BYTES.  valid runs the threshold gates and
-    the rank tests over the whole grid, O(n) numbers per shift, and the
-    rank tests stack their open k x k blocks in sub-chunks of the same
-    budget.  smallest_svs then forms F_c only at the valid shifts, at
-    self.point_bytes per shift (k x k, k x m and m x m numbers), and holds
-    about two such stacks at once; spectral_scan runs its chunks on several
-    threads, each within the budget.  A batched SVD, solve or product
-    returns each matrix as it would in any other stack, so neither the
-    chunking nor the threads change an answer.
+    per shift under _SCAN_CHUNK_BYTES: valid, O(n) numbers per shift, its
+    open k x k blocks in sub-chunks of the same budget, then smallest_svs at
+    the valid shifts alone, self.point_bytes per shift, about two stacks at
+    once per thread.  A batched SVD, solve or product returns each matrix
+    as it would in any other stack, so neither chunks nor threads change an
+    answer.
 
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
@@ -401,17 +434,14 @@ class _ShiftedScan:
 
     def __init__(self, H, T, partition: Partition):
         fixed = _shift_invariants(H, T, partition)
-        # (operator, [(residual norm, factor norm)]): each residual must stay
-        # within rel_threshold(factor, ||A - lam||), as in build_pair
-        commutation = [
-            (op_norm(r), op_norm(c)) for r, c in zip(fixed.commutation, (partition.chi, partition.chibar))
-        ]
-        self.gates = [
-            (_Shifted.of(T, False), [*commutation, (op_norm(fixed.T_leak), 1.0)]),
-            (_Shifted.of(fixed.H_chibar, False), [(op_norm(fixed.K_leak), 1.0)]),
-        ]
-        self.blocks = [_Shifted.of(M, True) for M in (fixed.T_block, fixed.K)]
         self.tol = partition.tol
+        gates = (
+            _Gate.of(T, [*zip(fixed.commutation, (partition.chi, partition.chibar)), (fixed.T_leak, None)], self.tol),
+            _Gate.of(fixed.H_chibar, [(fixed.K_leak, None)], self.tol),
+        )
+        self.gates = [gate for gate in gates if gate is not None]
+        self.blocks = [_Shifted.of(M, True) for M in (fixed.T_block, fixed.K)]
+        self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
         self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
         self.poles = self._pole_form(self.blocks[1].certificate)
         self.n = partition.dim
@@ -430,16 +460,21 @@ class _ShiftedScan:
         """Indices of the shifts in lams where the shifted pair is valid.
 
         Each gate reads O(n) numbers per shift, so the shifts run in chunks
-        of _SCAN_CHUNK_BYTES // (16 n), every gate once per chunk.
+        of _SCAN_CHUNK_BYTES // (16 n), every remaining gate once per chunk.
         """
         found = []
         for idx in _chunks(np.arange(len(lams)), 16 * self.n):
             for gate in self.gates:
-                idx = idx[self._within_thresholds(*gate, lams[idx])]
+                idx = idx[self._within_thresholds(gate, lams[idx])]
             for block in self.blocks:
                 idx = idx[self._nonsingular(block, lams[idx])]
             found.append(idx)
-        return np.concatenate(found)
+        found = np.concatenate(found)
+        # build_pair rejects an overflowing T - lam or H_chibar - lam; only a far lam overflows
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(np.abs(lams) >= np.finfo(float).max / 2 - np.abs(self.diagonal).max())
+            far = far[~np.isfinite(self.diagonal[:, None] - lams[far]).all(axis=0)]
+        return found[~np.isin(found, far)] if far.size else found
 
     def smallest_svs(self, at: np.ndarray) -> np.ndarray:
         """The smallest singular value of F_c at each valid shift in at, NaN
@@ -468,24 +503,17 @@ class _ShiftedScan:
                 sv[finite] = np.linalg.svd(Fc, compute_uv=False)[:, -1]
         return sv
 
-    def _within_thresholds(self, A: _Shifted, checks, lams) -> np.ndarray:
-        """Whether every residual passes its threshold at ||A - lam||.
-
-        ||A - lam||_F / sqrt(n) <= ||A - lam||_2 <= ||A - lam||_F decides
-        most verdicts; the exact norm is computed only for the rest.
-        """
-        tol = self.tol
-        fro = A.norms(lams)
-        lo = fro / np.sqrt(self.n) * (1.0 - _BRACKET_SLACK)
-        hi = fro * (1.0 + _BRACKET_SLACK)
-        ok = np.ones(lams.shape, dtype=bool)
-        open_ = np.zeros(lams.shape, dtype=bool)
-        for residual, factor in checks:
-            ok &= residual <= rel_threshold(tol, factor, hi)
-            open_ |= residual > rel_threshold(tol, factor, lo)
-        for i in np.flatnonzero(ok & open_):
-            norm = op_norm(_shift(A.M, lams[i : i + 1])[0])
-            ok[i] = all(residual <= rel_threshold(tol, factor, norm) for residual, factor in checks)
+    def _within_thresholds(self, gate: _Gate, lams) -> np.ndarray:
+        """Whether every check of the gate passes at ||A - lam||: a pass where
+        ||A - lam||_F / sqrt(n) clears gate.nu, a fail where ||A - lam||_F
+        falls below it (each widened), and the exact norm and rel_threshold
+        of each check, as in build_pair, in the band between."""
+        fro = gate.A.norms(lams)
+        ok = fro / np.sqrt(self.n) * (1.0 - _BRACKET_SLACK) >= gate.nu * (1.0 + _NU_ROUNDING)
+        open_ = ~ok & (fro * (1.0 + _BRACKET_SLACK) >= gate.nu * (1.0 - _NU_ROUNDING))
+        for i in np.flatnonzero(open_):
+            norm = op_norm(_shift(gate.A.M, lams[i : i + 1])[0])
+            ok[i] = all(residual <= rel_threshold(self.tol, factor, norm) for residual, factor in gate.checks)
         return ok
 
     def _nonsingular(self, block: _Shifted, lams) -> np.ndarray:
@@ -586,35 +614,26 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     """Scan shifts lambda: wherever (H - lambda, T - lambda) is a valid pair,
     record the smallest singular value of F(lambda) compressed to ran(chi).
 
-    Shifting H and T together moves only the diagonals of T, H_chibar and
-    their k x k compressions to ran(chibar), so everything else is computed
-    once per scan (_ShiftedScan) and each point costs k x k, k x m and
-    m x m work for m = dim ran(chi):
+    Shifting H and T together moves only diagonals, so everything else is
+    computed once per scan (_ShiftedScan) and each point costs k x k, k x m
+    and m x m work, for m = dim ran(chi) and k = dim ran(chibar):
 
         F_c(lambda) = C*H_chi C - lambda
                       - (C*chi W chibar B) (K - lambda)^-1 (B*chibar W chi C),
 
     with K = B*H_chibar B, B and C the orthonormal bases of ran(chibar) and
     ran(chi).  A point is a gap (pair_valid False, singular value NaN)
-    exactly where build_pair rejects the shifted pair: a commutation
-    residual or leak above rel_threshold of ||T - lambda|| or
-    ||H_chibar - lambda||, or a compression of T - lambda or
-    H_chibar - lambda whose smallest singular value is at or below its rank
-    cutoff, or where F_c overflows.  Each threshold is first decided from
-    the Frobenius bracket ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, and each
-    rank test from an eigenvector certificate of the block; the exact norm
-    or the SVD decides only where those leave the verdict open, so every
-    verdict is the exact one.  The coupling term is taken in pole form from
-    the eigendecomposition of K, or by a batched solve where that could miss
-    the scan's accuracy (see _ShiftedScan).  The scan takes two passes: the
-    validity gates over the whole grid, then F_c and its SVD at the valid
-    points alone.  Each runs in chunks of O(1) NumPy calls, sized so that
-    every stacked array stays within about 512 KB (_SCAN_CHUNK_BYTES).  The
-    F_c chunks are independent, so they are dealt round-robin to one worker
-    per CPU the process may use, and to no more workers than chunks
-    (_run_shared): the calling thread and a helper thread per further
-    worker, each holding about two stacks at a time.  Each chunk writes
-    only its own points, so the result is bit-identical to one worker's.
+    exactly where build_pair rejects the shifted pair, or where F_c
+    overflows.  The exact norms of the commutation and leak residuals are
+    taken only for a residual above ABS_FLOOR.  Each threshold gate is one
+    bound on ||T - lambda|| or ||H_chibar - lambda||, met first against its
+    Frobenius bracket, and each rank test against an eigenvector certificate
+    of the block; the exact norm or the SVD decides only where those leave
+    the verdict open, so every verdict is the exact one.  The validity pass
+    runs over the whole grid, then F_c and its SVD at the valid points
+    alone, in chunks of about 512 KB (_SCAN_CHUNK_BYTES) dealt round-robin
+    to one worker per usable CPU (_run_shared), each writing only its own
+    points, so the result is bit-identical to one worker's.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are

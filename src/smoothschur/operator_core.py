@@ -166,10 +166,9 @@ def norm_exceeds(M, limit: float) -> bool:
     return value > bound
 
 
-def rel_threshold(tol: Tolerances, *norms):
-    """Residual acceptance relative to the factor norms, with absolute floor
-    ABS_FLOOR.  Norms may be arrays, which give one threshold per entry."""
-    return np.maximum(tol.residual_rel * math.prod(norms), ABS_FLOOR)
+def rel_threshold(tol: Tolerances, *norms: float) -> float:
+    """Residual acceptance relative to the factor norms, with absolute floor ABS_FLOOR."""
+    return max(tol.residual_rel * math.prod(norms), ABS_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ operator_core.rel_gate from norm brackets: the evidence records an upper
 bound of each residual, noted "upper bound", against a threshold from lower
 bounds of the factor norms, and the exact norms only where the bracket
 leaves the verdict open.  The spectral scan takes the exact norms of the
-same residuals, from _shift_invariants, once per scan.  The pair keeps the
-smallest and largest singular values of each block from its rank test.
-Every gate and rank cutoff is at partition.tol, which pair.tol forwards.
+same residuals, from _shift_invariants, once per scan and only for a
+residual above ABS_FLOOR.  The pair keeps the smallest and largest singular
+values of each block from its rank test.  Every gate and rank cutoff is at
+partition.tol, which pair.tol forwards.
 """
 from __future__ import annotations
 

@@ -104,6 +104,17 @@ class TestInverseFormulas:
         R = invert_H_via_F(pair, data, Subspace.full(2))
         assert np.allclose(R, np.array([[3.0, -1.0], [-1.0, 2.0]]) / 5.0)
 
+    def test_overflowing_inverse_is_typed(self):
+        # at operator scale 3e-309 the pair builds and F is finite, but
+        # H^-1, about 3e308, overflows: a typed error naming it, no warning
+        inst = worked_2x2()
+        pair = build_pair(3e-309 * inst.H, 3e-309 * inst.T, inst.partition)
+        data = feshbach_map(pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteMatrixError, match=r"H\^-1"):
+                invert_H_via_F(pair, data, Subspace.full(2))
+
     def test_singular_H_detected_via_F(self):
         part = make_sharp(np.diag([1.0, 0.0]))
         H = np.ones((2, 2), dtype=complex)
@@ -403,7 +414,7 @@ def stacked_solves(monkeypatch):
 @pytest.fixture
 def gate_calls(monkeypatch):
     """A one-item list counting the calls of _ShiftedScan._within_thresholds,
-    one per threshold gate per chunk of the validity pass."""
+    one per remaining threshold gate per chunk of the validity pass."""
     count = [0]
     lock = threading.Lock()
     original = _ShiftedScan._within_thresholds
@@ -415,6 +426,15 @@ def gate_calls(monkeypatch):
 
     monkeypatch.setattr(_ShiftedScan, "_within_thresholds", counting)
     return count
+
+
+def _noncommuting(T, size=1e-11):
+    """T plus a random perturbation of norm size, which neither commutes
+    with a partition's chi nor keeps its ran(chibar): its commutation and
+    leak residuals are above ABS_FLOOR but far under any threshold on a
+    grid near the spectrum."""
+    E = crandn(np.random.default_rng(5), T.shape[0])
+    return T + size / op_norm(E) * E
 
 
 def _far_shifts(H, T, partition, grid):
@@ -774,8 +794,12 @@ class TestSpectralScan:
         # K is a Jordan block, so it has no certificate: every shift that
         # reaches it takes the block SVD, and each F_c the batched solve.  At
         # 1280 bytes the validity pass takes 10 shifts of n = 8 per chunk,
-        # the k = 5 block SVDs 3 and F_c 3
+        # the k = 5 block SVDs 3 and F_c 3.  A random 1e-11 moves T off
+        # commuting with chi and off keeping ran(chibar), so both threshold
+        # gates remain, and each runs once per chunk
         H, T, partition = _conditioned_instance(3, 5, None, 7)
+        T = _noncommuting(T)
+        assert len(_ShiftedScan(H, T, partition).gates) == 2
         grid = np.linspace(0.0, 5.0, 41) + 0.05j
         want = spectral_scan(H, T, partition, grid)
         budget = 1280
@@ -800,13 +824,43 @@ class TestSpectralScan:
     def test_validity_gates_run_once_per_chunk(self, gate_calls):
         # the gates read O(n) numbers per shift, so at n = 64 a chunk holds
         # 512 shifts and a 200-point grid is one chunk: each threshold gate
-        # runs once for the scan, not once per chunk of F_c stacks
+        # runs once for the scan, not once per chunk of F_c stacks.  A
+        # random 1e-11 moves T off commuting with chi, so T's gate remains;
+        # ran(chibar) is the whole space, so nothing leaks off it and
+        # H_chibar's gate is dropped
         H, T, partition, _ = _reference_instance("nonselfadjoint", 64)
+        T = _noncommuting(T)
+        assert [len(gate.checks) for gate in _ShiftedScan(H, T, partition).gates] == [2]
         ev = np.linalg.eigvals(H)
         grid = (np.linspace(ev.real.min(), ev.real.max(), 20)[None] + 1j * np.linspace(-0.1, 0.1, 10)[:, None]).ravel()
         assert sum(spectral_scan(H, T, partition, grid).pair_valid) > 0
         assert isospectral._SCAN_CHUNK_BYTES // (16 * 64) >= len(grid) == 200
-        assert gate_calls[0] == 2
+        assert gate_calls[0] == 1
+
+    def test_residuals_under_the_floor_take_no_norm(self, monkeypatch, gate_calls):
+        # worked_2x2's T commutes with chi and leaks nothing off ran(chibar):
+        # every residual is 0, so no gate remains, no residual or factor
+        # takes an exact norm, and no gate computes ||A - lam||; the scan's
+        # one op_norm is ||H||, for the flag cutoff
+        inst = worked_2x2()
+        norms, shifted = [0], [0]
+        original_norm, original_of = isospectral.op_norm, _Shifted.of.__func__
+
+        def counting_norm(M):
+            norms[0] += 1
+            return original_norm(M)
+
+        def counting_of(cls, M, certified):
+            shifted[0] += not certified
+            return original_of(cls, M, certified)
+
+        monkeypatch.setattr(isospectral, "op_norm", counting_norm)
+        monkeypatch.setattr(_Shifted, "of", classmethod(counting_of))
+        assert _ShiftedScan(inst.H, inst.T, inst.partition).gates == []
+        assert norms[0] == shifted[0] == 0
+        result = spectral_scan(inst.H, inst.T, inst.partition, np.linspace(0.0, 5.0, 5001))
+        assert len(result.flagged_eigenvalues) == 2
+        assert norms[0] == 1 and shifted[0] == gate_calls[0] == 0
 
     @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -917,6 +971,102 @@ class TestSpectralScan:
         result = spectral_scan(T, T, partition, grid)
         self._assert_matches_reference(T, T, partition, grid, result)
         assert True in result.pair_valid and False in result.pair_valid
+
+    def test_shift_that_overflows_T_is_a_gap(self):
+        # T commutes with chi exactly, so no threshold gate remains; at
+        # lam = -5e307 only T - lam overflows, and the chibar blocks and F_c
+        # stay finite, but build_pair rejects the shifted pair, and so must
+        # the scan
+        T = np.diag([1.5e308, 1.0]).astype(complex)
+        H = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+        partition = make_sharp(np.diag([1.0, 0.0]))
+        assert _ShiftedScan(H, T, partition).gates == []
+        assert spectral_scan(H, T, partition, [-5e307, -1.0, 0.5]).pair_valid == [False, True, True]
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteMatrixError):
+            build_pair(H + 5e307 * np.eye(2), T + 5e307 * np.eye(2), partition)
+
+    @pytest.mark.parametrize(
+        "chi, chibar, T",
+        [
+            # the non-commuting T of test_scale_invariance: both commutation
+            # residuals and both leaks are 0.5, so nu = 5e8 at scale 1
+            (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[2.0, 0.5], [0.5, 3.0]])),
+            # the leak of 1e-2 off ran(chibar) sets nu = 1e7 at scale 1
+            (
+                np.diag([1.0, np.sqrt(1.0 - 1e-12), 0.0]),
+                np.diag([0.0, 1e-6, 1.0]),
+                np.array([[1.0, 1e-2, 0.0], [1e-2, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+            ),
+        ],
+        ids=["commutation", "leak"],
+    )
+    def test_threshold_gate_boundary_matches_reference(self, chi, chibar, T, monkeypatch):
+        # H = T + the coupling of worked_2x2, so H_chibar = T.  At each
+        # scale, shifts put ||T - lam||_2 within a few ulps of the gate's
+        # bound nu on both sides of build_pair's flip, inside the Frobenius
+        # bracket; put the bracket's lower end (upper end) in the
+        # _NU_ROUNDING widening above (below) nu, which must still take the
+        # exact norm; and put it well clear of nu on both certain sides,
+        # which must not.  Every verdict is build_pair's
+        partition = validate_partition(chi, chibar)
+        norms = [0]
+        original = isospectral.op_norm
+
+        def counting(M):
+            norms[0] += 1
+            return original(M)
+
+        def exact_norms(scan, lam):
+            norms[0] = 0
+            scan.valid(np.array([lam], dtype=complex))
+            return norms[0]
+
+        def flip(below, above, passes):
+            # the adjacent floats around the last lam in [below, above]
+            # where passes(lam) is False, passes(below) being False
+            while np.nextafter(below, above) != above:
+                mid = below + (above - below) / 2
+                below, above = (below, mid) if passes(mid) else (mid, above)
+            return below, above
+
+        coupling = np.zeros_like(T)
+        coupling[0, -1] = coupling[-1, 0] = 1.0
+        for scale in (1.0, *_SCALES):
+            H_s, T_s = (scale * (T + coupling)).astype(complex), (scale * T).astype(complex)
+            scan = _ShiftedScan(H_s, T_s, partition)
+            reference = lambda lam: _reference_point(H_s, T_s, partition, lam)[1]
+            if scale == 1e-160:  # every residual is under ABS_FLOOR
+                assert scan.gates == []
+            nu = max((gate.nu for gate in scan.gates), default=0.0)
+            grid = [0.0, 1.0 * scale, -0.5 * scale]
+            if nu == np.inf:  # at 1e300 the commutation bound overflows
+                grid += [1e308, 1e307, -1e308]
+            elif nu > 0:
+                gate = max(scan.gates, key=lambda g: g.nu)
+                fro = lambda lam: float(gate.A.norms(np.array([lam], dtype=complex))[0])
+                lo = lambda lam: fro(lam) / np.sqrt(scan.n) * (1.0 - isospectral._BRACKET_SLACK)
+                hi = lambda lam: fro(lam) * (1.0 + isospectral._BRACKET_SLACK)
+                monkeypatch.setattr(isospectral, "op_norm", counting)
+                for sign in (1.0, -1.0):
+                    grid += [sign * nu / 10, sign * 10 * nu]
+                    for lam in grid[-2:]:
+                        assert exact_norms(scan, lam) == 0, (scale, lam)
+                    fail, pass_ = flip(sign * nu / 2, sign * 2 * nu, reference)
+                    near = [fail, np.nextafter(fail, 0.0), pass_, np.nextafter(pass_, sign * np.inf)]
+                    assert [reference(lam) for lam in near] == [False, False, True, True]
+                    for lam in near:
+                        assert abs(op_norm(T_s - lam * np.eye(len(T))) / nu - 1) < 8 * np.finfo(float).eps
+                        assert lo(lam) < nu < hi(lam) and exact_norms(scan, lam) > 0, (scale, lam)
+                    widened = nu * (1.0 + isospectral._NU_ROUNDING)
+                    _, over = flip(sign * nu / 2, sign * 2 * nu, lambda lam: lo(lam) >= nu)
+                    narrowed = nu * (1.0 - isospectral._NU_ROUNDING)
+                    _, under = flip(sign * nu / 4, sign * nu, lambda lam: hi(lam) >= narrowed)
+                    assert nu <= lo(over) < widened and narrowed <= hi(under) < nu, (scale, sign)
+                    assert exact_norms(scan, over) > 0 and exact_norms(scan, under) > 0, (scale, sign)
+                    grid += near + [over, under]
+                monkeypatch.setattr(isospectral, "op_norm", original)
+            result = spectral_scan(H_s, T_s, partition, grid)
+            assert result.pair_valid == [reference(lam) for lam in grid], scale
 
     @staticmethod
     def _assert_matches_reference(H, T, partition, grid, result):

@@ -428,12 +428,11 @@ def test_norm_bounds_bracket_op_norm(kind, rows, cols, seed, exponent):
         assert hi <= math.sqrt(min(M.shape)) * lo * (1 + 1e-9)
 
 
-def test_rel_threshold_of_arrays_is_elementwise():
+def test_rel_threshold_floors_the_product_of_norms():
     tol = Tolerances(residual_rel=1e-9)
-    norms = np.array([0.0, 1e-5, 1.0, 3.5e7, np.inf])
-    got = rel_threshold(tol, 2.0, norms)
-    assert got.tolist() == [rel_threshold(tol, 2.0, float(x)) for x in norms]
-    assert got[0] == got[1] == ABS_FLOOR and got[2] == 2e-9
+    got = [rel_threshold(tol, 2.0, x) for x in (0.0, 1e-5, 1.0, 3.5e7, math.inf)]
+    assert got == [ABS_FLOOR, ABS_FLOOR, 2e-9, 1e-9 * (2.0 * 3.5e7), math.inf]
+    assert rel_threshold(tol) == 1e-9 and math.isnan(rel_threshold(tol, math.nan))
 
 
 def test_norm_bounds_edges():
