@@ -24,7 +24,7 @@ from .isospectral import (
     spectral_scan,
 )
 from .matio import read_matrix, write_json, write_matrix
-from .operator_core import DEFAULT_TOL, Tolerances, _rank_cutoff, numerical_rank
+from .operator_core import DEFAULT_TOL, Tolerances, numerical_rank
 from .pairs import build_pair, feshbach_map, sufficient_conditions
 from .partition import Partition, validate_partition
 
@@ -144,8 +144,9 @@ def cmd_scan(args) -> int:
         bound = getattr(args, flag)
         if not np.isfinite(bound):
             raise EmptyGridError(f"spectral scan grid has a non-finite point: --{flag.replace('_', '-')} {bound}")
-    res = np.linspace(args.re_min, args.re_max, args.re_count)
-    ims = np.linspace(args.im_min, args.im_max, args.im_count)
+    # each axis at half scale, doubled: exact for normal floats, and its span cannot overflow
+    res = 2 * np.linspace(args.re_min / 2, args.re_max / 2, args.re_count)
+    ims = 2 * np.linspace(args.im_min / 2, args.im_max / 2, args.im_count)
     grid = [complex(r, i) for i in ims for r in res]
 
     result = spectral_scan(mats["H"], mats["T"], partition, grid)
@@ -183,8 +184,8 @@ def cmd_reduce(args) -> int:
     dims = [n] + [d for _, d in stages]
     final, final_dim = stages[-1]
     h_invertible = numerical_rank(H, tol) == n
+    f_invertible = numerical_rank(final, tol) == final_dim
     s = np.linalg.svd(final, compute_uv=False)
-    f_invertible = bool(s[-1] > _rank_cutoff(s, final.shape, tol))
     print(f"reduction chain: {' -> '.join(str(d) for d in dims)}")
     print(f"H invertible: {h_invertible}; final effective operator invertible: {f_invertible}")
     _write_report(

@@ -190,10 +190,12 @@ class ScanResult:
 
 def _grid_resolution(grid) -> float:
     """Smallest nonzero distance between consecutive grid points; 1.0 when
-    there is none.  hypot rounds as Python's abs of a complex does, which
-    np.abs of a complex array does not always."""
-    steps = np.diff(np.asarray(grid, dtype=complex))
-    gaps = np.hypot(steps.real, steps.imag)
+    there is none.  A distance beyond the largest float is inf.  hypot rounds
+    as Python's abs of a complex does, which np.abs of a complex array does
+    not always."""
+    with np.errstate(over="ignore"):
+        steps = np.diff(np.asarray(grid, dtype=complex))
+        gaps = np.hypot(steps.real, steps.imag)
     gaps = gaps[gaps > 0]
     return float(gaps.min()) if gaps.size else 1.0
 

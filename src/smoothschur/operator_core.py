@@ -4,19 +4,21 @@ operators restricted to subspaces.
 A gate comparing spectral norms is decided by norm_gate from the O(size)
 bracket of norm_bounds, and takes the exact norm (an SVD) only when the
 bracket leaves the verdict open; rel_gate is that gate for residual <=
-rel_threshold(tol, factor norms).  kernel_basis decides an empty kernel from
-the singular values alone when the smallest clears the rank cutoff by more
-than their rounding, and takes the full SVD only otherwise; column_space
-decides a full column space, whose basis is the identity, the same way.
+rel_threshold(tol, factor norms).
 
-Every operator in this package is an explicit complex ndarray.  An operator
-restricted to a subspace with orthonormal basis B is kept in coordinates, as
-its k x k compression B^H A B, next to the residual (1 - B B^H) A B whose
-norm is its leak off the subspace; the gate deciding whether that block is
-invertible (leak threshold, smallest singular value against the rank cutoff)
-lives here.  Every product with B goes through the Subspace, which skips it
-for the identity basis of the whole space.  restricted_inverse zero-extends
-the inverse block to a full-size matrix for callers that need one.
+One rule decides every rank: _rank_cutoff alone turns rank_rel into a
+cutoff, relative to a matrix's largest singular value or to an anchor's
+norm.  numerical_rank, _svd_rank and _gate_block here, and the rank tests
+of pairs and isospectral, read it.  _svd_rank, read by kernel_basis and
+column_space, decides full rank from the values-only SVD when the smallest
+value clears the cutoff by more than its rounding, and takes the full SVD
+only otherwise.
+
+An operator restricted to a subspace with orthonormal basis B is kept as
+its compression B^H A B, next to the residual (1 - B B^H) A B whose norm is
+its leak; _gate_block decides whether that block is invertible.  Every
+product with B goes through the Subspace, which skips it for the identity
+basis of the whole space.
 """
 from __future__ import annotations
 
@@ -251,12 +253,22 @@ def _fix_gauge(cols: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple, tol: Tolerances):
-    """Singular values at or below this count as zero.  s holds the singular
-    values of one matrix of the given shape along its last axis, stacked along
-    any leading axes (one cutoff per matrix)."""
-    smax = s.max(axis=-1) if s.shape[-1] else 0.0
-    return tol.rank_rel * smax * max(shape)
+def _rank_cutoff(s: np.ndarray, shape: tuple, tol: Tolerances, anchor=None):
+    """The one rank rule: singular values at or below this count as zero.
+    It is rank_rel ||M|| max(shape), for M the matrix of this shape whose
+    singular values s holds along its last axis (stacked along any leading
+    axes, one cutoff per matrix), or the anchor when given.  ||anchor|| is
+    the upper end of norm_bounds(anchor), which decides s > cutoff as the
+    exact norm does, unless a value of s falls inside the bracket; then it
+    is op_norm(anchor)."""
+    if anchor is None:
+        norm = s.max(axis=-1) if s.shape[-1] else 0.0
+    else:
+        lo, hi = (tol.rank_rel * b * max(shape) for b in norm_bounds(anchor))
+        if not np.any((s > lo) & (s <= hi)):
+            return hi
+        norm = op_norm(anchor)
+    return tol.rank_rel * norm * max(shape)
 
 
 def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -267,21 +279,21 @@ def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
 
 
-def _clears(s: np.ndarray, shape: tuple, cutoff: float) -> bool:
-    """Whether the smallest of the singular values s (largest first) of a
-    matrix of this shape exceeds cutoff by more than _CERT_ROUNDING
-    max(shape) eps times the largest: then the full SVD's values, which
-    differ from these by less, exceed it too."""
-    return s[-1] - cutoff > _CERT_ROUNDING * max(shape) * np.finfo(float).eps * s[0]
+def _svd_rank(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=None):
+    """(rank, u, vh) of a nonempty A at its _rank_cutoff.  Given s, the
+    values-only singular values of an A that can have full rank, it returns
+    full rank with u and vh None when the smallest clears the cutoff by more
+    than _CERT_ROUNDING max(shape) eps times the largest, which bounds its
+    distance from the full SVD's; otherwise the full SVD decides."""
+    rounding = _CERT_ROUNDING * max(A.shape) * np.finfo(float).eps
+    if s is not None and s[-1] - _rank_cutoff(s, A.shape, tol, anchor) > rounding * s[0]:
+        return min(A.shape), None, None
+    u, s, vh = np.linalg.svd(A)
+    return int(np.sum(s > _rank_cutoff(s, A.shape, tol, anchor))), u, vh
 
 
 def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical null space of M.
-
-    With rows >= cols the singular values alone decide an empty kernel when
-    they clear the rank cutoff by more than their rounding (_clears).
-    Otherwise the full SVD decides.
-    """
+    """Orthonormal basis of the numerical null space of M (_kernel_basis)."""
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
@@ -289,61 +301,24 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return _kernel_basis(A, np.linalg.svd(A, compute_uv=False) if rows >= cols else None, tol)
 
 
-def _anchor_bracket(anchor, shape: tuple, tol: Tolerances) -> tuple[float, float]:
-    """(lo, hi) around the anchored rank cutoff rank_rel ||anchor|| max(shape)
-    of a matrix of this shape, from norm_bounds(anchor)."""
-    return tuple(tol.rank_rel * b * max(shape) for b in norm_bounds(anchor))
-
-
-def _anchored_cutoff(s: np.ndarray, anchor, shape: tuple, tol: Tolerances, bracket=None) -> float:
-    """A rank cutoff that decides s > cutoff, for each of the singular values
-    s of a matrix of this shape, as the anchored cutoff rank_rel ||anchor||
-    max(shape) does.  That is the bracket's upper end (_anchor_bracket,
-    unless given) when no value falls between its two ends, and otherwise
-    the exact cutoff, from op_norm(anchor)."""
-    lo, hi = bracket or _anchor_bracket(anchor, shape, tol)
-    if np.any((s > lo) & (s <= hi)):
-        return tol.rank_rel * op_norm(anchor) * max(shape)
-    return hi
-
-
 def _kernel_basis(A: np.ndarray, s: np.ndarray | None, tol: Tolerances, anchor=None) -> Subspace:
-    """kernel_basis of a nonempty A, given its singular values s when it has
-    rows >= cols (None otherwise).  With an anchor the rank cutoff is
-    rank_rel max(shape) ||anchor||, not relative to A's own largest singular
-    value; ||anchor|| comes from norm_bounds, and exactly only when a
-    singular value of A falls between the bracket's two cutoffs."""
+    """kernel_basis of a nonempty A, given its values-only singular values s
+    when it has rows >= cols (None otherwise), at _rank_cutoff(s, A.shape,
+    tol, anchor): the rows of vh past the rank, padded rows included."""
+    rank, _, vh = _svd_rank(A, s, tol, anchor)
     cols = A.shape[1]
-    bracket = None if anchor is None else _anchor_bracket(anchor, A.shape, tol)
-    if s is not None and _clears(s, A.shape, bracket[1] if bracket else _rank_cutoff(s, A.shape, tol)):
-        return Subspace.empty(cols)
-    _, s, vh = np.linalg.svd(A)
-    if anchor is None:
-        cutoff = _rank_cutoff(s, A.shape, tol)
-    else:
-        cutoff = _anchored_cutoff(s, anchor, A.shape, tol, bracket)
-    rank = int(np.sum(s > cutoff))
-    null = vh[rank:].conj().T  # cols - rank columns, padded rows of vh included
-    return Subspace(cols, _fix_gauge(null))
+    return Subspace.empty(cols) if vh is None else Subspace(cols, _fix_gauge(vh[rank:].conj().T))
 
 
 def column_space(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical column space of M.
-
-    When the rank is the number of rows the basis is the identity.  With
-    rows <= cols the singular values alone decide that when they clear the
-    rank cutoff by more than their rounding (_clears); the full SVD decides
-    every other case.
-    """
+    """Orthonormal basis of the numerical column space of M; the identity
+    when the rank is the number of rows (with rows <= cols, decided from
+    the values-only SVD where it can be: _svd_rank)."""
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return Subspace.empty(rows)
-    s = np.linalg.svd(A, compute_uv=False) if rows <= cols else None
-    if s is not None and _clears(s, A.shape, _rank_cutoff(s, A.shape, tol)):
-        return Subspace.full(rows)
-    u, s, _ = np.linalg.svd(A)
-    rank = int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
+    rank, u, _ = _svd_rank(A, np.linalg.svd(A, compute_uv=False) if rows <= cols else None, tol)
     return Subspace.full(rows) if rank == rows else Subspace(rows, _fix_gauge(u[:, :rank]))
 
 
@@ -367,10 +342,9 @@ def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Toleranc
     """Gate a compression whose leak was decided against threshold (by
     rel_gate): raise SubspaceLeakError when leak > threshold,
     SingularRestrictionError when the smallest singular value of coords is at
-    or below its rank cutoff.  The cutoff is relative to the largest singular
-    value of coords, or with an anchor the n x n operator that coords
-    compresses, rank_rel n ||anchor|| (_anchored_cutoff).  Returns (smallest
-    sv, largest sv, rank cutoff); an empty block gives 0, 0, 0.
+    or below its _rank_cutoff, relative to coords or, with an anchor, to the
+    n x n operator that coords compresses.  Returns (smallest sv, largest
+    sv, rank cutoff); an empty block gives 0, 0, 0.
     """
     if leak > threshold:
         raise SubspaceLeakError(leak, threshold)
@@ -380,7 +354,7 @@ def _gate_block(coords: np.ndarray, leak: float, threshold: float, tol: Toleranc
     if anchor is None:
         cutoff = _rank_cutoff(s, coords.shape, tol)
     else:
-        cutoff = _anchored_cutoff(s[-1:], anchor, anchor.shape, tol)
+        cutoff = _rank_cutoff(s[-1:], anchor.shape, tol, anchor)
     if s[-1] <= cutoff:
         raise SingularRestrictionError(
             f"compression singular on the subspace: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"

@@ -57,6 +57,7 @@ from .operator_core import (
     Tolerances,
     _compress,
     _gate_block,
+    _rank_cutoff,
     as_matrix,
     norm_exceeds,
     op_norm,
@@ -100,10 +101,10 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
     H_chibar = T + chibar @ W @ chibar
     ran_chibar = partition.ran_chibar
     if not ran_chibar.dim:
-        nchibar = op_norm(chibar)
-        cutoff = tol.rank_rel * nchibar * n
+        s = np.linalg.svd(chibar, compute_uv=False)
         raise BlockInvertibilityError(
-            f"ran(chibar) is numerically empty: ||chibar|| {nchibar:.3e} <= rank cutoff {cutoff:.3e}"
+            f"ran(chibar) is numerically empty: ||chibar|| {s[0]:.3e} <= rank cutoff "
+            f"{_rank_cutoff(s, chibar.shape, tol):.3e}"
         )
     return _ShiftInvariants(
         W, H_chibar,

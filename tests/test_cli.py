@@ -224,6 +224,16 @@ class TestScan:
         assert "error: spectral scan grid has a non-finite point" in capsys.readouterr().err
         assert not csv_path.exists()
 
+    def test_axis_wider_than_the_largest_float(self, tmp_path, capsys):
+        # re-max - re-min is 2e308, beyond the largest float; every point is finite
+        csv_path = tmp_path / "scan.csv"
+        code = main(["scan", "fixtures/worked2x2", "--re-min=-1e308", "--re-max=1e308",
+                     "--re-count", "3", "--out", str(csv_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",")[:2] for line in csv_path.read_text().splitlines()[1:]]
+        assert rows == [["-1e+308", "0.0"], ["0.0", "0.0"], ["1e+308", "0.0"]]
+
     @pytest.mark.parametrize("flag", ["--re-min", "--re-max", "--im-min", "--im-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_bound_rejected_before_the_grid(self, tmp_path, capsys, flag, value):

@@ -493,6 +493,16 @@ class TestSpectralScan:
         for grid in grids:
             assert _grid_resolution(grid) == _grid_resolution_by_loop(grid), grid
 
+    def test_gap_beyond_the_largest_float(self):
+        # 1e308 - (-1e308) overflows: that gap is inf, and the scan returns
+        # with no overflow warning
+        assert _grid_resolution([1e308, -1e308]) == np.inf
+        assert _grid_resolution([1e308, -1e308, 0.5]) == 1e308
+        inst = worked_2x2()
+        result = spectral_scan(inst.H, inst.T, inst.partition, [1e308, -1e308, 0.5])
+        assert result.grid == [1e308, -1e308, 0.5]
+        assert all(np.isfinite(result.f_smallest_sv))
+
     def test_dip_minima_match_loop(self):
         # few distinct values, so ties and gaps (NaN) next to dips are common
         rng = np.random.default_rng(103)
