@@ -67,7 +67,6 @@ from .pairs import (
 )
 from .partition import (
     Partition,
-    make_commuting_T,
     make_nonselfadjoint,
     make_sharp,
     make_smooth_selfadjoint,

@@ -38,7 +38,6 @@ _ADVISORY_PREFIXES = ("sufficient/contraction",)
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_rel, help="relative singular-value cutoff")
     p.add_argument("--res-tol", type=float, default=DEFAULT_TOL.residual_rel, help="relative residual acceptance")
-    p.add_argument("--json", type=Path, default=None, help="write a machine-readable report here")
 
 
 def _tolerances(args) -> Tolerances:
@@ -284,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_common_flags(p)
     p.set_defaults(func=cmd_fuzz)
+
+    for name in ("check", "scan", "reduce", "fuzz"):  # gen writes its instance files and no report
+        sub.choices[name].add_argument("--json", type=Path, default=None, help="write a machine-readable report here")
     return parser
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     EffectiveOperatorSingularError,
     EmptyGridError,
-    NonFiniteMatrixError,
     OperatorSingularError,
     ReductionStageError,
     SingularRestrictionError,
@@ -31,11 +30,11 @@ from .errors import (
 from .operator_core import (
     _BRACKET_SLACK,
     _CERT_ROUNDING,
-    ABS_FLOOR,
     DEFAULT_TOL,
     Subspace,
     Tolerances,
     _compress,
+    _finite,
     _kernel_basis,
     _rank_cutoff,
     as_matrix,
@@ -80,9 +79,7 @@ def invert_H_via_F(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         ) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         H_inv = data.Q @ F_inv_V @ data.Q_sharp + pair.chibar_Hinv_chibar
-    if not np.isfinite(H_inv).all():
-        raise NonFiniteMatrixError("H^-1 has NaN or Inf entries")
-    return H_inv
+    return _finite("H^-1", H_inv)
 
 
 def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.ndarray:
@@ -91,7 +88,8 @@ def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         F^{-1} = chi H^{-1} chi + chibar T^{-1} chibar.
 
     Raises OperatorSingularError when H is numerically singular, decided
-    from the pair's singular values of H.
+    from the pair's singular values of H, and NonFiniteMatrixError when
+    F^{-1} is not finite (it overflows at the operator's scale).
     """
     H = pair.H
     s = pair.H_singular_values
@@ -100,8 +98,9 @@ def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
         raise OperatorSingularError(
             f"H numerically singular: smallest sv {s[-1]:.3e} <= cutoff {cutoff:.3e}"
         )
-    H_inv = np.linalg.inv(H)
-    return pair.chi @ H_inv @ pair.chi + pair.chibar_Tinv_chibar
+    with np.errstate(over="ignore", invalid="ignore"):
+        F_inv = pair.chi @ np.linalg.inv(H) @ pair.chi + pair.chibar_Tinv_chibar
+    return _finite("F^-1", F_inv)
 
 
 @dataclass(frozen=True)
@@ -278,21 +277,28 @@ class _EigenCertificate(NamedTuple):
     e includes the rounding of R and of the SVD, and |lam| rho sqrt(k) bounds
     the rounding of lam in the k diagonal entries of the computed M - lam, so
     a block whose bound clears the rank cutoff is one the SVD passes as well.
-    V is kept for the scan's pole form of (K - lam)^-1.
+    V is kept for the scan's pole form of (K - lam)^-1, and M_norm = ||M||_F
+    for the rank cutoff.
     """
 
     w: np.ndarray
     V: np.ndarray
     kappa: float
     e: float
+    M_norm: float
 
-    def clears(self, lams: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        """Whether sigma_min(M - lam) certainly exceeds each cutoff."""
+    def clears(self, lams: np.ndarray, tol: Tolerances) -> np.ndarray:
+        """Whether sigma_min(M - lam) certainly exceeds the rank cutoff that
+        _gate_block applies at each shift.  That cutoff is at most
+        _rank_cutoff of ||M||_F + |lam| >= ||M - lam||_2; the slack absorbs
+        the rounding of the sum.  A sum that overflows clears nothing."""
         k = len(self.w)
         gap = np.abs(self.w[:, None] - lams).min(axis=0)
         lower = (1.0 - _CERT_SLACK) * gap / self.kappa
-        rounding = np.abs(lams) * (_CERT_ROUNDING * k * np.finfo(float).eps * np.sqrt(k))
-        return lower > (1.0 + _CERT_SLACK) * (self.e + rounding + cutoffs)
+        with np.errstate(over="ignore"):
+            size = self.M_norm + np.abs(lams)
+            rounding = np.abs(lams) * (_CERT_ROUNDING * k * np.finfo(float).eps * np.sqrt(k))
+            return lower > (1.0 + _CERT_SLACK) * (self.e + rounding + _rank_cutoff(size[:, None], (k, k), tol))
 
 
 def _eigen_certificate(M: np.ndarray) -> _EigenCertificate | None:
@@ -315,37 +321,20 @@ def _eigen_certificate(M: np.ndarray) -> _EigenCertificate | None:
     if rho * s[0] > _CERT_SLACK * s[-1]:
         return None
     R_norm, M_norm, V_norm = (_frobenius(np.abs(X).ravel()) for X in (M @ V - V * w, M, V))
-    return _EigenCertificate(w, V, s[0] / s[-1], (R_norm + rho * M_norm * V_norm) / s[-1])
-
-
-class _Shifted(NamedTuple):
-    """An operator M that a scan shifts to M - lam, with the Frobenius norm of
-    its part off the diagonal, which a shift leaves alone, and, for a chibar
-    block, its _EigenCertificate (None where eig gives none)."""
-
-    M: np.ndarray
-    off: float
-    certificate: _EigenCertificate | None
-
-    @classmethod
-    def of(cls, M: np.ndarray, certified: bool) -> "_Shifted":
-        mags = np.abs(M)
-        np.fill_diagonal(mags, 0.0)
-        return cls(M, float(_frobenius(mags.ravel())), _eigen_certificate(M) if certified else None)
-
-    def norms(self, lams: np.ndarray) -> np.ndarray:
-        """||M - lam||_F at each shift, at O(n) work per shift."""
-        return _frobenius(np.abs(np.diagonal(self.M)[:, None] - lams), self.off)
+    return _EigenCertificate(w, V, s[0] / s[-1], (R_norm + rho * M_norm * V_norm) / s[-1], float(M_norm))
 
 
 class _Gate(NamedTuple):
     """A scan's threshold gate on A: each (residual, factor) check passes
     where residual <= rel_threshold(tol, factor, ||A - lam||), as in
-    build_pair.  It keeps only residuals above ABS_FLOOR, which the floor
-    no longer passes: each then passes exactly where ||A - lam|| is at least
-    residual / (residual_rel factor), and nu is the largest such bound."""
+    build_pair.  It keeps only residuals above the floor rel_threshold(tol,
+    0), which the floor no longer passes: each then passes exactly where
+    ||A - lam|| is at least residual / (residual_rel factor), and nu is the
+    largest such bound.  off is the Frobenius norm of A off its diagonal,
+    which a shift leaves alone."""
 
-    A: _Shifted
+    A: np.ndarray
+    off: float
     checks: list
     nu: float
 
@@ -353,13 +342,22 @@ class _Gate(NamedTuple):
     def of(cls, A: np.ndarray, checks, tol: Tolerances) -> "_Gate | None":
         """The gate over (residual, factor) matrices (a factor None is 1), or None
         if it keeps no check; a residual under the floor takes no exact norm."""
+        floor = rel_threshold(tol, 0.0)
         kept = []
         for residual, factor in checks:
-            if not norm_bounds(residual)[1] <= ABS_FLOOR and (norm := op_norm(residual)) > ABS_FLOOR:
+            if not norm_bounds(residual)[1] <= floor and (norm := op_norm(residual)) > floor:
                 kept.append((norm, 1.0 if factor is None else op_norm(factor)))
+        if not kept:
+            return None
         # a bound whose divisor underflows to 0 fails at every shift
         bounds = [r / d if (d := tol.residual_rel * f) else np.inf for r, f in kept]
-        return cls(_Shifted.of(A, False), kept, max(bounds)) if kept else None
+        mags = np.abs(A)
+        np.fill_diagonal(mags, 0.0)
+        return cls(A, float(_frobenius(mags.ravel())), kept, max(bounds))
+
+    def norms(self, lams: np.ndarray) -> np.ndarray:
+        """||A - lam||_F at each shift, at O(n) work per shift."""
+        return _frobenius(np.abs(np.diagonal(self.A)[:, None] - lams), self.off)
 
 
 class _ShiftedScan:
@@ -377,10 +375,9 @@ class _ShiftedScan:
     commutation and leak residuals are taken once per scan, only for a
     residual above ABS_FLOOR; each threshold gate, on T and on H_chibar, is
     one bound nu on ||A - lam|| (_Gate), dropped when it keeps no residual.
-    Each operator a shift moves is a _Shifted, whose norms both the
-    threshold gates and the rank tests read.  M - lam is stacked only for
-    the points a block's certificate leaves open to the SVD, and for the
-    batched solve.
+    Each chibar block is its matrix M and its _EigenCertificate, and M - lam
+    is stacked only for the points the certificate leaves open to the SVD,
+    and for the batched solve.
 
     A scan takes two passes, each chunked (_chunks) by its own footprint
     per shift under _SCAN_CHUNK_BYTES: valid, O(n) numbers per shift, its
@@ -442,10 +439,10 @@ class _ShiftedScan:
             _Gate.of(fixed.H_chibar, [(fixed.K_leak, None)], self.tol),
         )
         self.gates = [gate for gate in gates if gate is not None]
-        self.blocks = [_Shifted.of(M, True) for M in (fixed.T_block, fixed.K)]
+        self.blocks = [(M, _eigen_certificate(M)) for M in (fixed.T_block, fixed.K)]
         self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
         self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
-        self.poles = self._pole_form(self.blocks[1].certificate)
+        self.poles = self._pole_form(self.blocks[1][1])  # K's certificate
         self.n = partition.dim
         k, m = partition.ran_chibar.dim, partition.ran_chi.dim
         self.point_bytes = 16 * max(k * k, k * m, m * m)
@@ -468,8 +465,8 @@ class _ShiftedScan:
         for idx in _chunks(np.arange(len(lams)), 16 * self.n):
             for gate in self.gates:
                 idx = idx[self._within_thresholds(gate, lams[idx])]
-            for block in self.blocks:
-                idx = idx[self._nonsingular(block, lams[idx])]
+            for M, certificate in self.blocks:
+                idx = idx[self._nonsingular(M, certificate, lams[idx])]
             found.append(idx)
         found = np.concatenate(found)
         # build_pair rejects an overflowing T - lam or H_chibar - lam; only a far lam overflows
@@ -488,7 +485,7 @@ class _ShiftedScan:
         with np.errstate(all="ignore"):
             if self.poles is None:
                 right = np.broadcast_to(self.right, (len(at),) + self.right.shape)
-                Fc = self.left @ np.linalg.solve(_shift(self.blocks[1].M, at), right)
+                Fc = self.left @ np.linalg.solve(_shift(self.blocks[1][0], at), right)  # K - lam
             else:
                 w, left, right = self.poles
                 Fc = left @ (right / (w[:, None] - at[:, None, None]))
@@ -510,26 +507,23 @@ class _ShiftedScan:
         ||A - lam||_F / sqrt(n) clears gate.nu, a fail where ||A - lam||_F
         falls below it (each widened), and the exact norm and rel_threshold
         of each check, as in build_pair, in the band between."""
-        fro = gate.A.norms(lams)
+        fro = gate.norms(lams)
         ok = fro / np.sqrt(self.n) * (1.0 - _BRACKET_SLACK) >= gate.nu * (1.0 + _NU_ROUNDING)
         open_ = ~ok & (fro * (1.0 + _BRACKET_SLACK) >= gate.nu * (1.0 - _NU_ROUNDING))
         for i in np.flatnonzero(open_):
-            norm = op_norm(_shift(gate.A.M, lams[i : i + 1])[0])
+            norm = op_norm(_shift(gate.A, lams[i : i + 1])[0])
             ok[i] = all(residual <= rel_threshold(self.tol, factor, norm) for residual, factor in gate.checks)
         return ok
 
-    def _nonsingular(self, block: _Shifted, lams) -> np.ndarray:
+    def _nonsingular(self, M, certificate: _EigenCertificate | None, lams) -> np.ndarray:
         """Whether each shifted k x k block M - lam passes the rank cutoff
-        that _gate_block applies; a block that is not finite fails.
-
-        The cutoff is at most _rank_cutoff of ||M - lam||_F.  A block the
-        certificate clears against that passes; M - lam is stacked and the
-        SVD decides only for the rest.
+        that _gate_block applies; a block that is not finite fails.  A block
+        the certificate clears passes; M - lam is stacked and the SVD decides
+        only for the rest.
         """
-        M, certificate = block.M, block.certificate
         ok = np.zeros(lams.shape, dtype=bool)
         if certificate is not None:
-            ok = certificate.clears(lams, _rank_cutoff(block.norms(lams)[:, None], M.shape, self.tol))
+            ok = certificate.clears(lams, self.tol)
         for idx in _chunks(np.flatnonzero(~ok), 16 * M.size):
             stack = _shift(M, lams[idx])
             finite = np.isfinite(stack).all(axis=(1, 2))
@@ -693,39 +687,29 @@ def iterated_reduction(H, T, partitions):
     for k, partition in enumerate(partitions):
         try:
             pair = build_pair(H_k, T_k, partition)
+            C = partition.ran_chi
+            m = C.dim
+            if m >= pair.dim or m == 0:
+                raise SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
+            with np.errstate(over="ignore", invalid="ignore"):
+                F0, L, R = _compressed_map(pair.T, pair.W, partition)
+                H_k = _finite("effective operator", F0 - L @ np.linalg.solve(pair.K, R))
+                T_k = C.restrict(C.coords(pair.T))
         except SmoothSchurError as exc:
             raise ReductionStageError(k, exc) from exc
-        C = partition.ran_chi
-        m = C.dim
-        if m >= pair.dim or m == 0:
-            raise ReductionStageError(
-                k, SmoothSchurError(f"ran(chi) dim {m} is not a proper subspace")
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            F0, L, R = _compressed_map(pair.T, pair.W, partition)
-            H_k = F0 - L @ np.linalg.solve(pair.K, R)
-            T_k = C.restrict(C.coords(pair.T))
-        if not np.isfinite(H_k).all():
-            raise ReductionStageError(k, NonFiniteMatrixError("effective operator has NaN or Inf entries"))
         stages.append((H_k, m))
     return stages
 
 
-def halving_projection(n: int) -> np.ndarray:
-    """Coordinate projection onto the first ceil(n/2) axes; reduction helper."""
-    r = (n + 1) // 2
-    P = np.zeros((n, n), dtype=complex)
-    P[:r, :r] = np.eye(r)
-    return P
-
-
 def halving_partitions(n: int, stages: int, tol: Tolerances = DEFAULT_TOL):
-    """Sharp coordinate partitions that halve the dimension `stages` times."""
+    """Sharp coordinate partitions that halve the dimension `stages` times,
+    each chi the projection onto the first ceil(dim/2) axes."""
     parts = []
     dim = n
     for _ in range(stages):
         if dim < 2:
             break
-        parts.append(make_sharp(halving_projection(dim), tol))
-        dim = (dim + 1) // 2
+        half = (dim + 1) // 2
+        parts.append(make_sharp(np.diag(np.arange(dim) < half).astype(complex), tol))
+        dim = half
     return parts

@@ -92,6 +92,15 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
+def _finite(name: str, M: np.ndarray) -> np.ndarray:
+    """M itself; raises NonFiniteMatrixError "<name> has NaN or Inf entries"
+    where M has one, as a product taken with floating-point errors ignored
+    can."""
+    if not np.isfinite(M).all():
+        raise NonFiniteMatrixError(f"{name} has NaN or Inf entries")
+    return M
+
+
 def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value.  Raises
     NonFiniteMatrixError where M has a non-finite entry or its norm overflows."""

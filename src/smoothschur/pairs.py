@@ -48,7 +48,6 @@ from .errors import (
     CommutationError,
     ContractionError,
     DimensionMismatchError,
-    NonFiniteMatrixError,
     SingularRestrictionError,
     SubspaceLeakError,
 )
@@ -56,6 +55,7 @@ from .operator_core import (
     Subspace,
     Tolerances,
     _compress,
+    _finite,
     _gate_block,
     _rank_cutoff,
     as_matrix,
@@ -68,6 +68,9 @@ from .report import ResidualReport
 
 #: neumann_inverse stops once a series term's norm is at or below this.
 NEUMANN_TOL = 1e-12
+
+#: neumann_inverse stops after this many terms, and flags the sum truncated.
+NEUMANN_MAX_TERMS = 200
 
 
 class _ShiftInvariants(NamedTuple):
@@ -263,11 +266,8 @@ def feshbach_map(pair: FeshbachPair) -> FeshbachData:
     with np.errstate(over="ignore", invalid="ignore"):
         G, chi, W = pair.chibar_Hinv_chibar, pair.chi, pair.W
         chi_W, cross = chi @ W, G @ (W @ chi)
-        data = FeshbachData(F=pair.T + chi_W @ chi - chi_W @ cross, Q=chi - cross, Q_sharp=chi - chi_W @ G)
-    for name, M in (("F", data.F), ("Q", data.Q), ("Q_sharp", data.Q_sharp)):
-        if not np.isfinite(M).all():
-            raise NonFiniteMatrixError(f"{name} has NaN or Inf entries")
-    return data
+        F, Q, Q_sharp = pair.T + chi_W @ chi - chi_W @ cross, chi - cross, chi - chi_W @ G
+    return FeshbachData(F=_finite("F", F), Q=_finite("Q", Q), Q_sharp=_finite("Q_sharp", Q_sharp))
 
 
 def sufficient_conditions(pair: FeshbachPair) -> ResidualReport:
@@ -297,13 +297,13 @@ class NeumannResult:
     truncated: bool
 
 
-def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
+def neumann_inverse(pair: FeshbachPair) -> NeumannResult:
     """Invert H_chibar on ran(chibar) by the geometric series.
 
     Uses the factorization H_chibar = (1 + chibar W T^{-1} chibar) T on
     ran(chibar):  the approximate inverse is
     T^{-1} * sum_n (-chibar W T^{-1} chibar)^n, truncated once the term norm
-    falls to NEUMANN_TOL or after max_terms terms (then flagged truncated).
+    falls to NEUMANN_TOL or after NEUMANN_MAX_TERMS terms (then flagged truncated).
     Each term's norm is decided against NEUMANN_TOL by norm_exceeds.
     Raises ContractionError when the coupling norm pair.coupling_norm is >= 1.
     """
@@ -317,7 +317,7 @@ def neumann_inverse(pair: FeshbachPair, max_terms: int = 200) -> NeumannResult:
     total = term = np.eye(pair.dim, dtype=complex)
     terms_used, truncated = 1, False
     while norm_exceeds(term := -M @ term, NEUMANN_TOL):
-        if terms_used >= max_terms:
+        if terms_used >= NEUMANN_MAX_TERMS:
             truncated = True
             break
         total = total + term

@@ -4,8 +4,8 @@ Three construction routes are provided: sharp projections, smooth Hermitian
 partitions built from a cutoff function of a Hermitian generator, and
 non-Hermitian partitions built as sin/cos of a function of a diagonalizable
 generator (sin^2 + cos^2 = 1 is an entire identity, valid for complex
-arguments).  A companion constructor builds reference operators T as
-functions of the same generator so commutation holds by construction.
+arguments).  A reference operator T built as matrix_function of the same
+generator commutes with the partition by construction.
 
 Every function of a generator comes from one _Decomposition of it: the
 Hermitian test runs once, then eigh, or eig with one condition number and
@@ -100,7 +100,8 @@ def matrix_function(A, f: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
     Hermitian A takes the spectral theorem.
     Rejects generators whose eigenvector matrix is too ill-conditioned for
-    the functional calculus to be trustworthy.
+    the functional calculus to be trustworthy.  T = g(A) commutes with every
+    partition built from A, since both are functions of one matrix.
     """
     return _decompose(as_matrix(A), tol)(f)
 
@@ -200,11 +201,3 @@ def make_nonselfadjoint(A, theta: Callable, tol: Tolerances = DEFAULT_TOL) -> Pa
     """Non-Hermitian partition chi = sin(theta(A)), chibar = cos(theta(A))."""
     return _angle_partition(_decompose(as_matrix(A), tol), theta, tol)
 
-
-def make_commuting_T(generator, g: Callable, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Reference operator T = g(generator).
-
-    Any partition built from the same generator commutes with T
-    automatically, since both are functions of one matrix.
-    """
-    return matrix_function(generator, g, tol)

@@ -8,10 +8,10 @@ from smoothschur import (
     SmoothSchurError,
     Tolerances,
     build_pair,
-    make_commuting_T,
     make_nonselfadjoint,
     make_sharp,
     make_smooth_selfadjoint,
+    matrix_function,
     op_norm,
     operator_core,
     smoothstep,
@@ -106,13 +106,13 @@ def overlap_instance(form, n, seed, scale=0.1, kernel_dim=0):
         A = (U * w) @ U.conj().T
         A = (A + A.conj().T) / 2
         partition = make_smooth_selfadjoint(A, smoothstep)
-        T = make_commuting_T(A, lambda z: z + 1.2 + 0.3j)
+        T = matrix_function(A, lambda z: z + 1.2 + 0.3j)
     else:
         R = crandn(rng, n)
         V = U @ (np.eye(n) + 0.3 * R / np.linalg.norm(R, 2))
         A = (V * (w + 0.1j * rng.uniform(-1.0, 1.0, n))) @ np.linalg.inv(V)
         partition = make_nonselfadjoint(A, lambda z: 0.5 * np.pi * smoothstep(z.real))
-        T = make_commuting_T(A, lambda z: z + 1.2)
+        T = matrix_function(A, lambda z: z + 1.2)
     for _ in range(64):
         W = crandn(rng, n)
         H = T + scale * np.linalg.norm(T, 2) / np.linalg.norm(W, 2) * W

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 from pathlib import Path
@@ -328,3 +329,41 @@ class TestFuzz:
     def test_empty_dim_range_exits_2(self, capsys):
         assert main(["fuzz", "--trials", "1", "--dim-min", "5", "--dim-max", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--dim", "4", "--out", "{tmp}/inst"],
+            ["check", "fixtures/worked2x2", "--json", "{tmp}/check.json"],
+            ["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "5", "--re-count", "11",
+             "--out", "{tmp}/scan.csv", "--json", "{tmp}/scan.json"],
+            ["reduce", "fixtures/worked2x2", "--json", "{tmp}/reduce.json"],
+            ["fuzz", "--trials", "1", "--json", "{tmp}/fuzz.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_option_is_read(self, argv, tmp_path, capsys):
+        # an option that its command never reads is one the user can set to
+        # no effect; parsing reads the namespace too, so the record starts
+        # after it
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = cli.build_parser().parse_args([a.format(tmp=tmp_path) for a in argv], namespace=Recording())
+        reads.clear()
+        assert args.func(args) in (0, 1)
+        assert set(vars(args)) - {"func", "command"} - reads == set()
+
+    def test_gen_takes_no_json(self, tmp_path, capsys):
+        out, report = tmp_path / "inst", tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "--dim", "4", "--out", str(out), "--json", str(report)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothschur import (
+    DEFAULT_TOL,
     BlockInvertibilityError,
     FeshbachData,
     DimensionMismatchError,
@@ -41,7 +42,7 @@ from smoothschur import (
 )
 from smoothschur import isospectral
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
-from smoothschur.isospectral import _POLE_MAX_COND, _Shifted, _ShiftedScan, _dip_minima, _grid_resolution
+from smoothschur.isospectral import _POLE_MAX_COND, _Gate, _ShiftedScan, _dip_minima, _grid_resolution
 from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
 from smoothschur.pairs import _compressed_map
 
@@ -114,6 +115,18 @@ class TestInverseFormulas:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteMatrixError, match=r"H\^-1"):
                 invert_H_via_F(pair, data, Subspace.full(2))
+
+    @pytest.mark.parametrize("scale", [2.5e-309, 2e-309])
+    def test_overflowing_F_inverse_is_typed(self, scale):
+        # the pair builds and F is finite, but H^-1 overflows and F^-1 is
+        # NaN: a typed error naming F^-1, not a silent NaN matrix
+        inst = worked_2x2()
+        pair = build_pair(scale * inst.H, scale * inst.T, inst.partition)
+        data = feshbach_map(pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteMatrixError, match=r"^F\^-1 has NaN or Inf entries$"):
+                invert_F_via_H(pair, data, Subspace.full(2))
 
     def test_singular_H_detected_via_F(self):
         part = make_sharp(np.diag([1.0, 0.0]))
@@ -631,12 +644,14 @@ class TestSpectralScan:
     @pytest.mark.parametrize("scale", _SCALES)
     @pytest.mark.parametrize("k", [1, 8])
     def test_shifted_norms_are_frobenius_norms(self, k, scale):
-        # ||M - lam||_F from the diagonal and the mass off it, without
-        # overflow or underflow, at shifts across and on the spectrum of M
+        # a gate's ||M - lam||_F from the diagonal and the mass off it,
+        # without overflow or underflow, at shifts across and on the
+        # spectrum of M
         rng = np.random.default_rng(k)
         M = crandn(rng, k)
         lams = np.r_[3 * crandn(rng, 1, 20)[0], np.linalg.eigvals(M), 0.0]
-        got = _Shifted.of(scale * M, False).norms(scale * lams)
+        gate = _Gate.of(scale * M, [(np.ones((1, 1)), None)], DEFAULT_TOL)
+        got = gate.norms(scale * lams)
         want = scale * np.linalg.norm(M[None] - lams[:, None, None] * np.eye(k), axis=(1, 2))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
@@ -705,7 +720,7 @@ class TestSpectralScan:
         scan = _ShiftedScan(H, T, partition)
         solved = kappa is None or kappa > _POLE_MAX_COND
         assert (scan.poles is None) == solved
-        assert (scan.blocks[1].certificate is None) == (kappa is None)
+        assert (scan.blocks[1][1] is None) == (kappa is None)
         grid = np.linspace(0.0, 5.0, 41) + 0.05j
         stacked_solves[0] = 0
         result = spectral_scan(H, T, partition, grid)
@@ -854,18 +869,18 @@ class TestSpectralScan:
         # one op_norm is ||H||, for the flag cutoff
         inst = worked_2x2()
         norms, shifted = [0], [0]
-        original_norm, original_of = isospectral.op_norm, _Shifted.of.__func__
+        original_norm, original_shifted = isospectral.op_norm, _Gate.norms
 
         def counting_norm(M):
             norms[0] += 1
             return original_norm(M)
 
-        def counting_of(cls, M, certified):
-            shifted[0] += not certified
-            return original_of(cls, M, certified)
+        def counting_shifted(gate, lams):
+            shifted[0] += 1
+            return original_shifted(gate, lams)
 
         monkeypatch.setattr(isospectral, "op_norm", counting_norm)
-        monkeypatch.setattr(_Shifted, "of", classmethod(counting_of))
+        monkeypatch.setattr(_Gate, "norms", counting_shifted)
         assert _ShiftedScan(inst.H, inst.T, inst.partition).gates == []
         assert norms[0] == shifted[0] == 0
         result = spectral_scan(inst.H, inst.T, inst.partition, np.linspace(0.0, 5.0, 5001))
@@ -887,7 +902,7 @@ class TestSpectralScan:
         solve = spectral_scan(H, T, partition, grid)
         assert pole.pair_valid == solve.pair_valid
         assert pole.flagged_eigenvalues == solve.flagged_eigenvalues
-        K, certificate = scan.blocks[1].M, scan.blocks[1].certificate
+        K, certificate = scan.blocks[1]
         k, m = K.shape[0], scan.F0.shape[0]
         eps = np.finfo(float).eps
         rho = _CERT_ROUNDING * k * eps
@@ -1053,7 +1068,7 @@ class TestSpectralScan:
                 grid += [1e308, 1e307, -1e308]
             elif nu > 0:
                 gate = max(scan.gates, key=lambda g: g.nu)
-                fro = lambda lam: float(gate.A.norms(np.array([lam], dtype=complex))[0])
+                fro = lambda lam: float(gate.norms(np.array([lam], dtype=complex))[0])
                 lo = lambda lam: fro(lam) / np.sqrt(scan.n) * (1.0 - isospectral._BRACKET_SLACK)
                 hi = lambda lam: fro(lam) * (1.0 + isospectral._BRACKET_SLACK)
                 monkeypatch.setattr(isospectral, "op_norm", counting)

@@ -39,6 +39,7 @@ from smoothschur import partition as partition_module
 from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate, random_unitary
 from smoothschur.errors import SubspaceLeakError
 from smoothschur.operator_core import BOUND_NOTE, rel_threshold
+from smoothschur.pairs import NEUMANN_MAX_TERMS
 
 from conftest import KINDS, MIXED_FORMS, OVERLAP_FORMS, crandn, instance, restricted_map
 
@@ -297,9 +298,10 @@ class TestNeumannInverse:
         T = np.diag([2.0, 2.0]).astype(complex)
         W = np.diag([0.0, 1.8]).astype(complex)  # contraction norm 0.9, slow series
         pair = build_pair(T + W, T, part)
-        res = neumann_inverse(pair, max_terms=3)
+        # 0.9^n falls to NEUMANN_TOL only past n = 262
+        res = neumann_inverse(pair)
         assert res.truncated
-        assert res.terms_used == 3
+        assert res.terms_used == NEUMANN_MAX_TERMS == 200
 
 
 def test_zero_extension_identity_on_ran_chibar():

@@ -11,7 +11,6 @@ from smoothschur import (
     NotIdempotentError,
     PartitionError,
     Tolerances,
-    make_commuting_T,
     make_nonselfadjoint,
     make_sharp,
     make_smooth_selfadjoint,
@@ -149,14 +148,14 @@ class TestMakeNonselfadjoint:
             make_nonselfadjoint(A, lambda w: w + 0.5)
 
 
-class TestMakeCommutingT:
+class TestCommutingT:
     def test_identity_function(self):
-        T = make_commuting_T(np.diag([0.0, 1.0]), lambda w: w)
+        T = matrix_function(np.diag([0.0, 1.0]), lambda w: w)
         assert np.allclose(T, np.diag([0.0, 1.0]))
 
     def test_shift(self):
         gen = np.diag([0.2, 0.9])
-        T = make_commuting_T(gen, lambda w: w - 0.5)
+        T = matrix_function(gen, lambda w: w - 0.5)
         assert np.allclose(T, gen - 0.5 * np.eye(2))
 
     def test_polynomial_commutes_with_partition(self):
@@ -166,7 +165,7 @@ class TestMakeCommutingT:
         a = rng.uniform(0.3, 1.0, 5) + 0.05j * rng.uniform(-1, 1, 5)
         A = (V * a) @ np.linalg.inv(V)
         p = make_nonselfadjoint(A, lambda w: w)
-        T = make_commuting_T(A, lambda w: w**2 + 1)
+        T = matrix_function(A, lambda w: w**2 + 1)
         # oracle: polynomial evaluated directly on the matrix
         assert op_norm(T - (A @ A + np.eye(5))) < 1e-9 * op_norm(T)
         for c in (p.chi, p.chibar):
@@ -205,7 +204,6 @@ def test_matrix_function_tests_hermitian_once(monkeypatch):
         (make_smooth_selfadjoint, NotHermitianError, r"Hermitian residual \S+ > \S+"),
         (matrix_function, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
         (make_nonselfadjoint, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
-        (make_commuting_T, NotDiagonalizableError, r"eigenvector matrix condition number \S+ exceeds 1\.0e\+08"),
     ],
 )
 def test_generator_errors_keep_their_messages(build, error, message):
@@ -246,12 +244,12 @@ def test_generated_operators_match_separate_function_calls(monkeypatch, kind, n)
         fbar = lambda w: np.sqrt(np.clip(1.0 - smoothstep(w) ** 2, 0.0, None))  # noqa: E731
         chi = matrix_function(A, smoothstep)
         chibar = matrix_function(A, fbar)
-        T = make_commuting_T(A, lambda w: w + 1.2 + 0.3j)
+        T = matrix_function(A, lambda w: w + 1.2 + 0.3j)
         public = make_smooth_selfadjoint(A, smoothstep)
     else:
         chi = matrix_function(A, np.sin)
         chibar = matrix_function(A, np.cos)
-        T = make_commuting_T(A, lambda w: w + 1.2)
+        T = matrix_function(A, lambda w: w + 1.2)
         public = make_nonselfadjoint(A, lambda w: w)
     for got, want in ((inst.partition.chi, chi), (inst.partition.chibar, chibar), (inst.T, T),
                       (public.chi, chi), (public.chibar, chibar)):
