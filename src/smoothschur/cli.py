@@ -24,7 +24,7 @@ from .isospectral import (
     spectral_scan,
 )
 from .matio import read_matrix, write_json, write_matrix
-from .operator_core import DEFAULT_TOL, Tolerances, numerical_rank
+from .operator_core import DEFAULT_TOL, Tolerances, _rank_cutoff, numerical_rank
 from .pairs import build_pair, feshbach_map, sufficient_conditions
 from .partition import Partition, validate_partition
 
@@ -50,14 +50,20 @@ def _write_report(path, tol: Tolerances, **fields) -> None:
         write_json(path, {"schema": SCHEMA, "tolerances": asdict(tol), **fields})
 
 
+def _square(directory: Path, M: np.ndarray) -> np.ndarray:
+    """M, read from directory, if it is square; else a MatrixFileError."""
+    rows, cols = M.shape
+    if rows != cols:
+        raise MatrixFileError(f"{directory}: matrices must be square, got {rows}x{cols}")
+    return M
+
+
 def _load_instance_dir(directory: Path) -> dict:
     mats = {name: read_matrix(directory / f"{name}.json") for name in MATRIX_FILES}
     dims = {name: m.shape for name, m in mats.items()}
     if len(set(dims.values())) != 1:
         raise MatrixFileError(f"{directory}: inconsistent matrix shapes {dims}")
-    rows, cols = dims["H"]
-    if rows != cols:
-        raise MatrixFileError(f"{directory}: matrices must be square, got {rows}x{cols}")
+    _square(directory, mats["H"])
     return mats
 
 
@@ -170,8 +176,7 @@ def cmd_scan(args) -> int:
 
 def cmd_reduce(args) -> int:
     tol = _tolerances(args)
-    mats = _load_instance_dir(args.instance)
-    H = mats["H"]
+    H = _square(args.instance, read_matrix(args.instance / "H.json"))
     n = H.shape[0]
     # diagonal T commutes with every coordinate projection, at every stage
     T = np.diag(np.diagonal(H)).astype(complex)
@@ -181,10 +186,10 @@ def cmd_reduce(args) -> int:
     stages = iterated_reduction(H, T, partitions)
 
     dims = [n] + [d for _, d in stages]
-    final, final_dim = stages[-1]
+    final, _ = stages[-1]
     h_invertible = numerical_rank(H, tol) == n
-    f_invertible = numerical_rank(final, tol) == final_dim
     s = np.linalg.svd(final, compute_uv=False)
+    f_invertible = bool(s[-1] > _rank_cutoff(s, final.shape, tol))
     print(f"reduction chain: {' -> '.join(str(d) for d in dims)}")
     print(f"H invertible: {h_invertible}; final effective operator invertible: {f_invertible}")
     _write_report(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -212,9 +213,11 @@ def _dip_minima(svs: np.ndarray, cut: float) -> np.ndarray:
 
 #: Bytes allowed per stacked array in a spectral scan's batched gates,
 #: SVDs and solves.  The budget is per worker: the F_c pass holds about two
-#: stacks per worker at once (see spectral_scan).  At n = 64 a chunk holds
-#: 8 F_c matrices, and NumPy 2.4's batched SVD keeps the GIL over a stack of
-#: 4 or 6 64 x 64 matrices but drops it over 8, so the workers overlap.
+#: stacks per worker at once (see spectral_scan).  NumPy 2.4's values-only
+#: batched SVD of a stack of p m x m matrices drops the GIL only when
+#: p m > 500, and only then do the workers overlap.  At k = m = 64 a chunk
+#: holds 8 F_c matrices, and 8 x 64 = 512 drops it; at m = 128 a chunk holds
+#: 2 and at m = 256 one, which keep it, so there the F_c pass runs serially.
 _SCAN_CHUNK_BYTES = 512 * 1024
 
 #: Eigenvalue candidates dip below this many grid resolutions, times 1 + ||H||.
@@ -250,10 +253,16 @@ def _frobenius(mags: np.ndarray, extra=0.0) -> np.ndarray:
     return top * np.sqrt((mags * mags).sum(axis=0) + (extra / scale) ** 2)
 
 
+def _chunk_points(point_bytes: int) -> int:
+    """The entries of a chunk: _SCAN_CHUNK_BYTES // point_bytes, at least one,
+    for a stack of point_bytes per entry."""
+    return max(1, _SCAN_CHUNK_BYTES // point_bytes)
+
+
 def _chunks(idx: np.ndarray, point_bytes: int):
-    """idx in consecutive pieces, each of at most _SCAN_CHUNK_BYTES //
-    point_bytes entries (at least one), for a stack of point_bytes per entry."""
-    step = max(1, _SCAN_CHUNK_BYTES // point_bytes)
+    """idx in consecutive pieces of _chunk_points(point_bytes) entries (the
+    last may hold fewer)."""
+    step = _chunk_points(point_bytes)
     return (idx[start : start + step] for start in range(0, len(idx), step))
 
 
@@ -387,6 +396,13 @@ class _ShiftedScan:
     as it would in any other stack, so neither chunks nor threads change an
     answer.
 
+    A scan over a grid of `points` shifts runs on self.workers workers, one
+    per usable CPU up to the number of F_c chunks the whole grid could
+    need, decided once _shift_invariants has passed; a grid that fits in
+    one chunk starts no thread.  The two certificates and the caller's
+    side_tasks run side by side as one task list (_run_tasks), their
+    results in self.blocks and self.side_results.
+
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
     the certificate's K = V diag(w) V^-1 it is taken in pole form,
@@ -431,7 +447,7 @@ class _ShiftedScan:
     a gap, and warns of nothing.
     """
 
-    def __init__(self, H, T, partition: Partition):
+    def __init__(self, H, T, partition: Partition, points: int = 1, side_tasks=()):
         fixed = _shift_invariants(H, T, partition)
         self.tol = partition.tol
         gates = (
@@ -439,13 +455,17 @@ class _ShiftedScan:
             _Gate.of(fixed.H_chibar, [(fixed.K_leak, None)], self.tol),
         )
         self.gates = [gate for gate in gates if gate is not None]
-        self.blocks = [(M, _eigen_certificate(M)) for M in (fixed.T_block, fixed.K)]
-        self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
-        self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
-        self.poles = self._pole_form(self.blocks[1][1])  # K's certificate
         self.n = partition.dim
         k, m = partition.ran_chibar.dim, partition.ran_chi.dim
         self.point_bytes = 16 * max(k * k, k * m, m * m)
+        self.workers = min(_usable_cpus(), -(-points // _chunk_points(self.point_bytes)))
+        blocks = (fixed.T_block, fixed.K)
+        results = _run_tasks([*(partial(_eigen_certificate, M) for M in blocks), *side_tasks], self.workers)
+        self.blocks = list(zip(blocks, results))
+        self.side_results = results[len(blocks) :]
+        self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
+        self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
+        self.poles = self._pole_form(self.blocks[1][1])  # K's certificate
 
     def _pole_form(self, certificate: _EigenCertificate | None):
         """(w, L V, V^-1 R) from the certificate of K, or None where the
@@ -541,36 +561,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shared(chunks: list, work) -> None:
-    """Call work(share) on round-robin shares of chunks, one share per
-    worker, with min(len(chunks), _usable_cpus()) workers (at least one).
+def _run_tasks(tasks: list, workers: int) -> list:
+    """Call each task in tasks and return their results in order.
 
-    The calling thread takes the first share and a helper thread each of
-    the others, so a single chunk starts no thread.  Every helper is joined
-    before this returns or raises; an exception in the calling thread
-    propagates, and otherwise the first one a helper caught is re-raised.
+    The calling thread and min(workers, len(tasks)) - 1 helper threads pull
+    the tasks from one shared iterator under a lock, so a worker that
+    finishes early takes the next task instead of waiting on a share dealt
+    in advance; one worker calls them in turn and starts no thread.  Each
+    worker runs its first task only once every worker holds one, so no
+    thread is started in vain, and stops pulling once any worker has failed.
+    Every helper is joined before this returns or raises, and then the
+    first exception a worker caught is re-raised.
     """
-    workers = max(1, min(len(chunks), _usable_cpus()))
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [task() for task in tasks]
+    results = [None] * len(tasks)
+    pending = enumerate(tasks)
+    lock = threading.Lock()
+    everyone = threading.Barrier(workers)
     errors = []
 
-    def helper(share):
+    def pull():
         try:
-            work(share)
+            with lock:
+                claimed = next(pending)
+            everyone.wait()
+            while claimed is not None and not errors:
+                i, task = claimed
+                results[i] = task()
+                with lock:
+                    claimed = next(pending, None)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
+            everyone.abort()
 
     started = []
     try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=helper, args=(chunks[i::workers],))
-            thread.start()
-            started.append(thread)
-        work(chunks[::workers])
+        try:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=pull)
+                thread.start()
+                started.append(thread)
+        except BaseException:
+            everyone.abort()  # the workers started wait on one that never will be
+            raise
+        pull()
     finally:
         for thread in started:
             thread.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -625,11 +667,17 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     bound on ||T - lambda|| or ||H_chibar - lambda||, met first against its
     Frobenius bracket, and each rank test against an eigenvector certificate
     of the block; the exact norm or the SVD decides only where those leave
-    the verdict open, so every verdict is the exact one.  The validity pass
-    runs over the whole grid, then F_c and its SVD at the valid points
-    alone, in chunks of about 512 KB (_SCAN_CHUNK_BYTES) dealt round-robin
-    to one worker per usable CPU (_run_shared), each writing only its own
-    points, so the result is bit-identical to one worker's.
+    the verdict open, so every verdict is the exact one.
+
+    The workers (_ShiftedScan.workers) take two task lists in turn, each
+    pulled by whichever worker is free (_run_tasks).  The first holds the
+    eigenvector certificates of both chibar blocks and the reference data,
+    ||H|| and the eigenvalues of H.  Then the validity pass runs over the
+    whole grid, and the second list holds the chunks of about 512 KB
+    (_SCAN_CHUNK_BYTES) in which F_c and its SVD are taken at the valid
+    points alone, each writing only its own points, so the result is
+    bit-identical to one worker's.  A grid that fits in one chunk starts no
+    thread.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
@@ -648,24 +696,23 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     finite = np.isfinite(lams)
     if not finite.all():
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
-    scan = _ShiftedScan(H, T, partition)
+    scan = _ShiftedScan(H, T, partition, len(lams), [partial(op_norm, H), partial(np.linalg.eigvals, H)])
+    H_norm, eigenvalues = scan.side_results
     svs = np.full(len(grid), np.nan)
 
-    def fill(share):
-        for at in share:
-            svs[at] = scan.smallest_svs(lams[at])
+    def fill(at):
+        svs[at] = scan.smallest_svs(lams[at])
 
-    _run_shared(list(_chunks(scan.valid(lams), scan.point_bytes)), fill)
+    _run_tasks([partial(fill, at) for at in _chunks(scan.valid(lams), scan.point_bytes)], scan.workers)
     valid = ~np.isnan(svs)
 
-    cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + op_norm(H))
-    reference = [complex(z) for z in np.linalg.eigvals(H)]
+    cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + H_norm)
     return ScanResult(
         grid=grid,
         f_smallest_sv=svs.tolist(),
         pair_valid=valid.tolist(),
         flagged_eigenvalues=lams[_dip_minima(svs, cut)].tolist(),
-        reference_eigenvalues=reference,
+        reference_eigenvalues=[complex(z) for z in eigenvalues],
     )
 
 

@@ -264,6 +264,22 @@ class TestReduce:
         assert payload["dims"] == [8, 4, 2]
         assert payload["H_invertible"] == payload["final_invertible"]
 
+    def test_reads_h_alone(self, instance_dir, tmp_path, capsys):
+        # reduce reads only H.json: a directory holding H alone, or H beside
+        # a malformed T, chi and chibar, reports the same bytes as the full one
+        alone, malformed = tmp_path / "alone", tmp_path / "malformed"
+        for directory in (alone, malformed):
+            directory.mkdir()
+            (directory / "H.json").write_bytes((instance_dir / "H.json").read_bytes())
+        for name in ("T", "chi", "chibar"):
+            (malformed / f"{name}.json").write_text("not json")
+        reports = []
+        for directory in (instance_dir, alone, malformed):
+            path = tmp_path / f"{directory.name}.json"
+            assert main(["reduce", str(directory), "--stages", "2", "--json", str(path)]) == 0
+            reports.append(path.read_bytes())
+        assert reports[1:] == [reports[0]] * 2
+
     @pytest.mark.parametrize("stages", ["0", "-1"])
     def test_no_stages_exits_2(self, instance_dir, capsys, stages):
         assert main(["reduce", str(instance_dir), "--stages", stages]) == 2

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -734,13 +735,26 @@ class TestSpectralScan:
         # any other stack, and each F_c chunk writes only its own points, so
         # a scan in a single chunk of each pass and one a shift at a time,
         # its F_c chunks split across one, two or three workers, agree to
-        # the bit
+        # the bit.  Each worker holds one task before any runs, and the two
+        # certificates are the first tasks, so with two or three workers one
+        # certificate at least is computed on a helper thread
         H, T, partition, grid = _reference_instance(kind, dim)
+        caller = threading.current_thread()
+        original = isospectral._eigen_certificate
+        on_helper = []
+
+        def recording(M):
+            on_helper.append(threading.current_thread() is not caller)
+            return original(M)
+
+        monkeypatch.setattr(isospectral, "_eigen_certificate", recording)
         results = []
         for budget, workers in ((2**30, 1), (1, 1), (1, 2), (1, 3)):
             monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", budget)
             monkeypatch.setattr(isospectral, "_usable_cpus", lambda n=workers: n)
+            on_helper.clear()
             results.append(spectral_scan(H, T, partition, grid))
+            assert len(on_helper) == 2 and any(on_helper) == (workers > 1)
         assert sum(results[0].pair_valid) > 3
         assert [repr(r.to_dict()) for r in results[1:]] == [repr(results[0].to_dict())] * 3
 
@@ -792,28 +806,88 @@ class TestSpectralScan:
         assert len(threads) == 8
         assert stacked_svds[0] == len(far)
 
-    @pytest.mark.parametrize("raising", ["calling thread", "helper thread"])
-    def test_worker_error_surfaces_unchanged(self, raising, monkeypatch):
-        # an error in either worker leaves spectral_scan as it was raised,
-        # after every helper thread has been joined
+    @pytest.mark.parametrize("failing", ["certificate", "F_c chunk"])
+    def test_worker_error_surfaces_unchanged(self, failing, monkeypatch):
+        # an error in a chosen task, K's certificate or the F_c chunk of one
+        # chosen point, leaves spectral_scan as it was raised, whichever
+        # worker ran it, after every helper thread has been joined
         H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
+        valid = [lam for lam, ok in zip(grid, spectral_scan(H, T, partition, grid).pair_valid) if ok]
         monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
         monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 2)
         error = np.linalg.LinAlgError("SVD did not converge")
-        caller = threading.current_thread()
-        original = _ShiftedScan.smallest_svs
+        if failing == "certificate":
+            K = _ShiftedScan(H, T, partition).blocks[1][0]
+            original = isospectral._eigen_certificate
 
-        def failing(self, at):
-            if (threading.current_thread() is caller) == (raising == "calling thread"):
-                raise error
-            return original(self, at)
+            def failing_certificate(M):
+                if np.array_equal(M, K):
+                    raise error
+                return original(M)
 
-        monkeypatch.setattr(_ShiftedScan, "smallest_svs", failing)
+            monkeypatch.setattr(isospectral, "_eigen_certificate", failing_certificate)
+        else:
+            original = _ShiftedScan.smallest_svs
+
+            def failing_chunk(self, at):
+                if valid[len(valid) // 2] in at:
+                    raise error
+                return original(self, at)
+
+            monkeypatch.setattr(_ShiftedScan, "smallest_svs", failing_chunk)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError) as raised:
             spectral_scan(H, T, partition, grid)
         assert raised.value is error
+        assert started and not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
+
+    def test_one_chunk_grid_starts_no_thread(self, monkeypatch):
+        # the criterion-6 grid is one chunk at m = k = 1, so even with four
+        # usable CPUs the scan runs on the calling thread alone; the same
+        # scan a point per chunk starts helpers
+        inst = worked_2x2()
+        grid = np.linspace(0.0, 5.0, 5001)
+        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 4)
+        starts = [0]
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts[0] += 1
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        assert len(spectral_scan(inst.H, inst.T, inst.partition, grid).flagged_eigenvalues) == 2
+        assert starts[0] == 0
+        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
+        spectral_scan(inst.H, inst.T, inst.partition, grid[:8])
+        assert starts[0] > 0
+
+    def test_workers_pull_their_tasks(self):
+        # the first task waits until every other task has run: the other
+        # worker pulls them all meanwhile, where a round-robin share dealt
+        # to the waiting worker would hold tasks it can never reach
+        lock = threading.Lock()
+        others = threading.Event()
+        ran = []
+
+        def other(i):
+            with lock:
+                ran.append(i)
+                if len(ran) == 5:
+                    others.set()
+            return i
+
+        tasks = [lambda: others.wait(timeout=30), *(partial(other, i) for i in range(1, 6))]
+        assert isospectral._run_tasks(tasks, 2) == [True, 1, 2, 3, 4, 5]
 
     def test_every_stack_is_within_the_budget(self, monkeypatch, gate_calls):
         # K is a Jordan block, so it has no certificate: every shift that
