@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyGridError, InstanceSpecError, MatrixFileError, SmoothSchurError, ToleranceError
 from .identities import verify_alt_remark, verify_basics, verify_resolvent
-from .instances import KINDS, InstanceSpec, derived_seed, generate
+from .instances import KINDS, InstanceSpec, _generate_pair, derived_seed, generate
 from .isospectral import (
     _grid_resolution,
     halving_partitions,
@@ -25,8 +25,8 @@ from .isospectral import (
 )
 from .matio import read_matrix, write_json, write_matrix
 from .operator_core import DEFAULT_TOL, Tolerances, _rank_cutoff, numerical_rank
-from .pairs import build_pair, feshbach_map, sufficient_conditions
-from .partition import Partition, validate_partition
+from .pairs import FeshbachPair, build_pair, feshbach_map, sufficient_conditions
+from .partition import validate_partition
 
 SCHEMA = "1.0"
 MATRIX_FILES = ("H", "T", "chi", "chibar")
@@ -85,9 +85,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_instance(H, T, partition: Partition):
-    """The `check` report as a JSON-ready dict, and its ResidualReports by name."""
-    pair = build_pair(H, T, partition)
+def _check_instance(pair: FeshbachPair):
+    """The `check` report of a validated pair as a JSON-ready dict, and its ResidualReports by name."""
     data = feshbach_map(pair)
 
     reports = {
@@ -109,7 +108,7 @@ def _check_instance(H, T, partition: Partition):
 
     return {
         "schema": SCHEMA,
-        "tolerances": asdict(partition.tol),
+        "tolerances": asdict(pair.tol),
         "reports": {name: report.to_dict() for name, report in reports.items()},
         "kernel": kernel.to_dict(),
         "summary": {"pass": not failures, "failures": sorted(failures)},
@@ -121,7 +120,7 @@ def cmd_check(args) -> int:
     mats = _load_instance_dir(args.instance)
     started = time.perf_counter()
     partition = validate_partition(mats["chi"], mats["chibar"], tol)
-    result, reports = _check_instance(mats["H"], mats["T"], partition)
+    result, reports = _check_instance(build_pair(mats["H"], mats["T"], partition))
     elapsed = time.perf_counter() - started
 
     for name, report in reports.items():
@@ -221,8 +220,7 @@ def cmd_fuzz(args) -> int:
             perturbation_scale=scales[(trial // len(kinds)) % len(scales)],
             seed=derived_seed(args.seed, trial),
         )
-        inst = generate(spec, tol)
-        result, reports = _check_instance(inst.H, inst.T, inst.partition)
+        result, reports = _check_instance(_generate_pair(spec, tol))
         for report in reports.values():
             for entry in report:
                 worst[entry.label] = max(worst.get(entry.label, 0.0), entry.residual)

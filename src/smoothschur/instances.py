@@ -115,6 +115,14 @@ def _well_conditioned(pair: FeshbachPair) -> bool:
 
 def generate(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> Instance:
     """Realize the instance: deterministic in (spec, tol)."""
+    pair = _generate_pair(spec, tol)
+    return Instance(spec=spec, H=pair.H, T=pair.T, partition=pair.partition)
+
+
+def _generate_pair(spec: InstanceSpec, tol: Tolerances) -> FeshbachPair:
+    """The pair of generate's instance, as build_pair validated it.  An
+    Instance keeps H, T and the partition alone: a caller that holds many
+    instances would hold each pair's n x n W and H_chibar too."""
     rng = np.random.default_rng(spec.seed)
     partition, T = _build_partition_and_T(rng, spec, tol)
     n = spec.dim
@@ -127,8 +135,9 @@ def generate(spec: InstanceSpec, tol: Tolerances = DEFAULT_TOL) -> Instance:
             W *= scale / op_norm(W)
         H = T + W
         try:
-            if _well_conditioned(build_pair(H, T, partition)):
-                return Instance(spec=spec, H=H, T=T, partition=partition)
+            pair = build_pair(H, T, partition)
+            if _well_conditioned(pair):
+                return pair
         except SmoothSchurError:
             pass
         if spec.perturbation_scale == 0:

@@ -179,9 +179,10 @@ class ScanResult:
     reference_eigenvalues: list
 
     def to_dict(self) -> dict:
+        """The scan as JSON-ready lists; a gap's singular value, NaN here, is None."""
         return {
             "grid": [[z.real, z.imag] for z in self.grid],
-            "f_smallest_sv": self.f_smallest_sv,
+            "f_smallest_sv": [sv if ok else None for sv, ok in zip(self.f_smallest_sv, self.pair_valid)],
             "pair_valid": self.pair_valid,
             "flagged_eigenvalues": [[z.real, z.imag] for z in self.flagged_eigenvalues],
             "reference_eigenvalues": [[z.real, z.imag] for z in self.reference_eigenvalues],
@@ -399,9 +400,8 @@ class _ShiftedScan:
     A scan over a grid of `points` shifts runs on self.workers workers, one
     per usable CPU up to the number of F_c chunks the whole grid could
     need, decided once _shift_invariants has passed; a grid that fits in
-    one chunk starts no thread.  The two certificates and the caller's
-    side_tasks run side by side as one task list (_run_tasks), their
-    results in self.blocks and self.side_results.
+    one chunk starts no thread.  The two certificates run side by side
+    (_run_tasks), each kept beside its block in self.blocks.
 
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
     rational function of lam with its poles at the eigenvalues w of K.  From
@@ -447,7 +447,7 @@ class _ShiftedScan:
     a gap, and warns of nothing.
     """
 
-    def __init__(self, H, T, partition: Partition, points: int = 1, side_tasks=()):
+    def __init__(self, H, T, partition: Partition, points: int = 1):
         fixed = _shift_invariants(H, T, partition)
         self.tol = partition.tol
         gates = (
@@ -460,9 +460,7 @@ class _ShiftedScan:
         self.point_bytes = 16 * max(k * k, k * m, m * m)
         self.workers = min(_usable_cpus(), -(-points // _chunk_points(self.point_bytes)))
         blocks = (fixed.T_block, fixed.K)
-        results = _run_tasks([*(partial(_eigen_certificate, M) for M in blocks), *side_tasks], self.workers)
-        self.blocks = list(zip(blocks, results))
-        self.side_results = results[len(blocks) :]
+        self.blocks = list(zip(blocks, _run_tasks([partial(_eigen_certificate, M) for M in blocks], self.workers)))
         self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
         self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
         self.poles = self._pole_form(self.blocks[1][1])  # K's certificate
@@ -567,48 +565,37 @@ def _run_tasks(tasks: list, workers: int) -> list:
     The calling thread and min(workers, len(tasks)) - 1 helper threads pull
     the tasks from one shared iterator under a lock, so a worker that
     finishes early takes the next task instead of waiting on a share dealt
-    in advance; one worker calls them in turn and starts no thread.  Each
-    worker runs its first task only once every worker holds one, so no
-    thread is started in vain, and stops pulling once any worker has failed.
-    Every helper is joined before this returns or raises, and then the
-    first exception a worker caught is re-raised.
+    in advance; with no helper the calling thread runs every task in turn.
+    A worker stops pulling once any worker has failed.  Every helper started
+    is joined before this returns or raises, and then the first exception a
+    worker caught is re-raised.
     """
-    workers = min(workers, len(tasks))
-    if workers < 2:
-        return [task() for task in tasks]
     results = [None] * len(tasks)
     pending = enumerate(tasks)
     lock = threading.Lock()
-    everyone = threading.Barrier(workers)
     errors = []
 
     def pull():
-        try:
+        while not errors:
             with lock:
-                claimed = next(pending)
-            everyone.wait()
-            while claimed is not None and not errors:
-                i, task = claimed
+                claimed = next(pending, None)
+            if claimed is None:
+                return
+            i, task = claimed
+            try:
                 results[i] = task()
-                with lock:
-                    claimed = next(pending, None)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-            everyone.abort()
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
 
-    started = []
+    helpers = []
     try:
-        try:
-            for _ in range(workers - 1):
-                thread = threading.Thread(target=pull)
-                thread.start()
-                started.append(thread)
-        except BaseException:
-            everyone.abort()  # the workers started wait on one that never will be
-            raise
+        for _ in range(min(workers, len(tasks)) - 1):
+            thread = threading.Thread(target=pull)
+            thread.start()
+            helpers.append(thread)
         pull()
     finally:
-        for thread in started:
+        for thread in helpers:
             thread.join()
     if errors:
         raise errors[0]
@@ -671,13 +658,14 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
 
     The workers (_ShiftedScan.workers) take two task lists in turn, each
     pulled by whichever worker is free (_run_tasks).  The first holds the
-    eigenvector certificates of both chibar blocks and the reference data,
-    ||H|| and the eigenvalues of H.  Then the validity pass runs over the
-    whole grid, and the second list holds the chunks of about 512 KB
-    (_SCAN_CHUNK_BYTES) in which F_c and its SVD are taken at the valid
-    points alone, each writing only its own points, so the result is
-    bit-identical to one worker's.  A grid that fits in one chunk starts no
-    thread.
+    eigenvector certificates of both chibar blocks.  Then the validity pass
+    runs over the whole grid, and the second list holds the reference data,
+    ||H|| and the eigenvalues of H, which do not depend on validity, then
+    the chunks of about 512 KB (_SCAN_CHUNK_BYTES) in which F_c and its SVD
+    are taken at the valid points alone.  Each chunk returns its singular
+    values and the calling thread writes them at its points, so the result
+    is bit-identical to one worker's.  A grid that fits in one chunk starts
+    no thread.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are
@@ -696,14 +684,15 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
     finite = np.isfinite(lams)
     if not finite.all():
         raise EmptyGridError(f"spectral scan grid has a non-finite point {grid[int(np.argmin(finite))]}")
-    scan = _ShiftedScan(H, T, partition, len(lams), [partial(op_norm, H), partial(np.linalg.eigvals, H)])
-    H_norm, eigenvalues = scan.side_results
+    scan = _ShiftedScan(H, T, partition, len(lams))
+    chunks = list(_chunks(scan.valid(lams), scan.point_bytes))
+    H_norm, eigenvalues, *chunk_svs = _run_tasks(
+        [partial(op_norm, H), partial(np.linalg.eigvals, H), *(partial(scan.smallest_svs, lams[at]) for at in chunks)],
+        scan.workers,
+    )
     svs = np.full(len(grid), np.nan)
-
-    def fill(at):
-        svs[at] = scan.smallest_svs(lams[at])
-
-    _run_tasks([partial(fill, at) for at in _chunks(scan.valid(lams), scan.point_bytes)], scan.workers)
+    for at, sv in zip(chunks, chunk_svs):
+        svs[at] = sv
     valid = ~np.isnan(svs)
 
     cut = _FLAG_SCALE * _grid_resolution(lams) * (1.0 + H_norm)

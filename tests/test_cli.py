@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from smoothschur import cli
 from smoothschur.cli import main
 from smoothschur.errors import MatrixFileError
-from smoothschur.instances import KINDS, generate
+from smoothschur.instances import KINDS, _generate_pair
 from smoothschur.matio import matrix_from_dict, read_matrix, write_matrix
 
 from conftest import crandn
@@ -196,6 +196,22 @@ class TestScan:
         for eig in ((5 - np.sqrt(5)) / 2, (5 + np.sqrt(5)) / 2):
             assert min(abs(z - eig) for z in flagged) <= 0.01
 
+    def test_json_is_strict_with_null_at_gaps(self, tmp_path):
+        # 2 and 3 are eigenvalues of T, so the grid has gaps; a gap's sigma
+        # is null, and the file parses without NaN or Infinity tokens
+        json_path = tmp_path / "scan.json"
+        assert main(["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "5",
+                     "--re-count", "11", "--out", str(tmp_path / "scan.csv"), "--json", str(json_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(json_path.read_text(), parse_constant=reject)
+        svs, valid = payload["f_smallest_sv"], payload["pair_valid"]
+        assert not all(valid) and any(valid)
+        assert [sv is None for sv in svs] == [not ok for ok in valid]
+        assert all(isinstance(sv, float) for sv in svs if sv is not None)
+
     def test_criterion_6_csv_matches_golden(self, tmp_path):
         # the committed CSV is the criterion-6 scan as recorded with NumPy
         # 2.4; the grid and the validity column must match it exactly, and
@@ -332,9 +348,9 @@ class TestFuzz:
 
         def recording(spec, tol):
             specs.append(spec)
-            return generate(spec, tol)
+            return _generate_pair(spec, tol)
 
-        monkeypatch.setattr(cli, "generate", recording)
+        monkeypatch.setattr(cli, "_generate_pair", recording)
         assert main(["fuzz", "--trials", "9", "--seed", "2"]) == 0
         pairs = {(spec.partition_kind, spec.perturbation_scale) for spec in specs}
         assert len(specs) == 9 and pairs == {(kind, scale) for kind in KINDS for scale in (0.0, 0.1, 0.45)}

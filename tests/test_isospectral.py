@@ -732,12 +732,13 @@ class TestSpectralScan:
     @pytest.mark.parametrize("dim", [3, 8, 32])
     def test_chunking_leaves_every_answer_bit_identical(self, kind, dim, monkeypatch):
         # a batched SVD, solve or product returns each matrix as it would in
-        # any other stack, and each F_c chunk writes only its own points, so
+        # any other stack, and each F_c chunk returns only its own points, so
         # a scan in a single chunk of each pass and one a shift at a time,
         # its F_c chunks split across one, two or three workers, agree to
-        # the bit.  Each worker holds one task before any runs, and the two
-        # certificates are the first tasks, so with two or three workers one
-        # certificate at least is computed on a helper thread
+        # the bit.  The two certificates are a task list of their own: with
+        # two or three workers a helper is started before the calling thread
+        # pulls, and a certificate's eig drops the GIL, so one certificate at
+        # least is computed on a helper thread
         H, T, partition, grid = _reference_instance(kind, dim)
         caller = threading.current_thread()
         original = isospectral._eigen_certificate
@@ -780,8 +781,10 @@ class TestSpectralScan:
 
     def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch, stacked_svds):
         # eight workers, each switching threads every microsecond: every
-        # worker writes only its own points and the counter counts under its
-        # lock, so no update is lost
+        # chunk returns its own points' values and the counter counts under
+        # its lock, so no update is lost.  Which workers run a chunk is up to
+        # the scheduler: the helpers often take them all while the calling
+        # thread is still starting the others, so only a helper is asserted
         H, T, partition, grid = _reference_instance("nonselfadjoint", 64)
         far = _far_shifts(H, T, partition, grid)
         want = repr(spectral_scan(H, T, partition, far).to_dict())
@@ -803,7 +806,7 @@ class TestSpectralScan:
         finally:
             sys.setswitchinterval(interval)
         assert repr(got.to_dict()) == want
-        assert len(threads) == 8
+        assert threads - {threading.current_thread()}
         assert stacked_svds[0] == len(far)
 
     @pytest.mark.parametrize("failing", ["certificate", "F_c chunk"])
@@ -850,6 +853,31 @@ class TestSpectralScan:
         assert started and not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
+    def test_helper_that_fails_to_start_surfaces_unchanged(self, monkeypatch):
+        # with three workers the second helper fails to start: its error
+        # leaves spectral_scan as it was raised, after the helper that did
+        # start has been joined
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
+        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 3)
+        error = RuntimeError("can't start new thread")
+        started = []
+        start = threading.Thread.start
+
+        def failing_second(thread):
+            if len(started) == 1:
+                raise error
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_second)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            spectral_scan(H, T, partition, grid)
+        assert raised.value is error
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
     def test_one_chunk_grid_starts_no_thread(self, monkeypatch):
         # the criterion-6 grid is one chunk at m = k = 1, so even with four
         # usable CPUs the scan runs on the calling thread alone; the same
@@ -888,6 +916,24 @@ class TestSpectralScan:
 
         tasks = [lambda: others.wait(timeout=30), *(partial(other, i) for i in range(1, 6))]
         assert isospectral._run_tasks(tasks, 2) == [True, 1, 2, 3, 4, 5]
+
+    def test_calling_thread_is_a_worker(self):
+        # each task waits until two threads have entered one, so the two
+        # run at once on two threads; with one helper, the calling thread
+        # must be the other
+        lock = threading.Lock()
+        both = threading.Event()
+        ran = []
+
+        def meet():
+            with lock:
+                ran.append(threading.current_thread())
+                if len(ran) == 2:
+                    both.set()
+            return both.wait(timeout=30)
+
+        assert isospectral._run_tasks([meet, meet], 2) == [True, True]
+        assert threading.current_thread() in ran and len(set(ran)) == 2
 
     def test_every_stack_is_within_the_budget(self, monkeypatch, gate_calls):
         # K is a Jordan block, so it has no certificate: every shift that
