@@ -562,20 +562,29 @@ def _usable_cpus() -> int:
 def _run_tasks(tasks: list, workers: int) -> list:
     """Call each task in tasks and return their results in order.
 
-    The calling thread and min(workers, len(tasks)) - 1 helper threads pull
-    the tasks from one shared iterator under a lock, so a worker that
-    finishes early takes the next task instead of waiting on a share dealt
-    in advance; with no helper the calling thread runs every task in turn.
-    A worker stops pulling once any worker has failed.  Every helper started
-    is joined before this returns or raises, and then the first exception a
-    worker caught is re-raised.
+    Workers take tasks from one shared iterator under a lock, so a
+    worker that finishes early takes the next task instead of waiting on a
+    share dealt in advance.  The calling thread is the first worker.  Each
+    time it claims a task it doubles the workers, starting helper threads
+    up to min(workers, len(tasks)) - 1 of them but never more than there
+    are tasks still unclaimed, and then runs its task.  So no helper starts
+    once every task is taken, the calling thread holds a task before each
+    start (a start can wait long for the threads already running), and
+    with one task or one worker it runs every task in turn.  A worker stops
+    pulling once any worker has failed, in a task or in starting a helper.
+    Every helper started is joined before this returns or raises, and then
+    the first exception caught is re-raised.
     """
     results = [None] * len(tasks)
     pending = enumerate(tasks)
     lock = threading.Lock()
     errors = []
+    helpers = []
+    spare = min(workers, len(tasks)) - 1
 
-    def pull():
+    def pull(spawn=None):
+        # the calling thread passes pull itself as spawn, so pull holds no
+        # reference to itself: no cycle keeps the tasks and results alive
         while not errors:
             with lock:
                 claimed = next(pending, None)
@@ -583,20 +592,20 @@ def _run_tasks(tasks: list, workers: int) -> list:
                 return
             i, task = claimed
             try:
+                if spawn and len(helpers) < spare:
+                    for _ in range(min(len(helpers) + 1, spare - len(helpers), len(tasks) - i - 1)):
+                        helper = threading.Thread(target=spawn)
+                        helper.start()
+                        helpers.append(helper)
                 results[i] = task()
             except BaseException as exc:  # re-raised in the calling thread
                 errors.append(exc)
 
-    helpers = []
     try:
-        for _ in range(min(workers, len(tasks)) - 1):
-            thread = threading.Thread(target=pull)
-            thread.start()
-            helpers.append(thread)
-        pull()
+        pull(spawn=pull)
     finally:
-        for thread in helpers:
-            thread.join()
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[0]
     return results

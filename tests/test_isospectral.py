@@ -1,8 +1,10 @@
+import gc
 import os
 import re
 import sys
 import threading
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -782,9 +784,7 @@ class TestSpectralScan:
     def test_more_workers_than_cpus_under_fast_thread_switching(self, monkeypatch, stacked_svds):
         # eight workers, each switching threads every microsecond: every
         # chunk returns its own points' values and the counter counts under
-        # its lock, so no update is lost.  Which workers run a chunk is up to
-        # the scheduler: the helpers often take them all while the calling
-        # thread is still starting the others, so only a helper is asserted
+        # its lock, so no update is lost
         H, T, partition, grid = _reference_instance("nonselfadjoint", 64)
         far = _far_shifts(H, T, partition, grid)
         want = repr(spectral_scan(H, T, partition, far).to_dict())
@@ -806,7 +806,7 @@ class TestSpectralScan:
         finally:
             sys.setswitchinterval(interval)
         assert repr(got.to_dict()) == want
-        assert threads - {threading.current_thread()}
+        assert threading.current_thread() in threads and len(threads) > 1
         assert stacked_svds[0] == len(far)
 
     @pytest.mark.parametrize("failing", ["certificate", "F_c chunk"])
@@ -854,29 +854,38 @@ class TestSpectralScan:
         assert threading.active_count() == before
 
     def test_helper_that_fails_to_start_surfaces_unchanged(self, monkeypatch):
-        # with three workers the second helper fails to start: its error
-        # leaves spectral_scan as it was raised, after the helper that did
-        # start has been joined
-        H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
-        monkeypatch.setattr(isospectral, "_SCAN_CHUNK_BYTES", 1)
-        monkeypatch.setattr(isospectral, "_usable_cpus", lambda: 3)
+        # three workers: the calling thread starts the first helper with its
+        # first task, which waits until that helper holds the second, and
+        # fails to start the second helper with the third task.  The start
+        # error surfaces as raised, the helper stops pulling at once and is
+        # joined, and no other task runs
         error = RuntimeError("can't start new thread")
+        holding = threading.Event()
+        failed = threading.Event()
         started = []
         start = threading.Thread.start
 
         def failing_second(thread):
-            if len(started) == 1:
+            if started:
+                failed.set()
                 raise error
             started.append(thread)
             return start(thread)
 
+        def hold():
+            holding.set()
+            return failed.wait(timeout=30)
+
         monkeypatch.setattr(threading.Thread, "start", failing_second)
+        ran = []
+        tasks = [partial(holding.wait, timeout=30), hold, *(partial(ran.append, i) for i in range(2, 8))]
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
-            spectral_scan(H, T, partition, grid)
+            isospectral._run_tasks(tasks, 3)
         assert raised.value is error
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == before
+        assert ran == []
 
     def test_one_chunk_grid_starts_no_thread(self, monkeypatch):
         # the criterion-6 grid is one chunk at m = k = 1, so even with four
@@ -899,6 +908,43 @@ class TestSpectralScan:
         spectral_scan(inst.H, inst.T, inst.partition, grid[:8])
         assert starts[0] > 0
 
+    def test_no_helper_starts_once_every_task_is_taken(self, monkeypatch):
+        # three workers, three tasks: the calling thread starts a helper with
+        # the first task, which waits until the helper holds the second, and
+        # the helper waits until the calling thread runs the third.  The
+        # calling thread claimed the last task, so it starts no second helper
+        holding = threading.Event()
+        last = threading.Event()
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread)
+            return start(thread)
+
+        def hold():
+            holding.set()
+            return last.wait(timeout=30)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        tasks = [partial(holding.wait, timeout=30), hold, last.set]
+        assert isospectral._run_tasks(tasks, 3) == [True, True, None]
+        assert len(starts) == 1
+
+    def test_results_are_freed_without_the_cycle_collector(self):
+        # the runner leaves no reference cycle behind, so a result is freed
+        # once its caller drops it: a scan's F_c chunks and singular values
+        # do not pile up between collections
+        class Result:
+            pass
+
+        gc.disable()
+        try:
+            ref = weakref.ref(isospectral._run_tasks([Result, Result], 2)[0])
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_workers_pull_their_tasks(self):
         # the first task waits until every other task has run: the other
         # worker pulls them all meanwhile, where a round-robin share dealt
@@ -916,24 +962,6 @@ class TestSpectralScan:
 
         tasks = [lambda: others.wait(timeout=30), *(partial(other, i) for i in range(1, 6))]
         assert isospectral._run_tasks(tasks, 2) == [True, 1, 2, 3, 4, 5]
-
-    def test_calling_thread_is_a_worker(self):
-        # each task waits until two threads have entered one, so the two
-        # run at once on two threads; with one helper, the calling thread
-        # must be the other
-        lock = threading.Lock()
-        both = threading.Event()
-        ran = []
-
-        def meet():
-            with lock:
-                ran.append(threading.current_thread())
-                if len(ran) == 2:
-                    both.set()
-            return both.wait(timeout=30)
-
-        assert isospectral._run_tasks([meet, meet], 2) == [True, True]
-        assert threading.current_thread() in ran and len(set(ran)) == 2
 
     def test_every_stack_is_within_the_budget(self, monkeypatch, gate_calls):
         # K is a Jordan block, so it has no certificate: every shift that
