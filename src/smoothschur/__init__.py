@@ -24,6 +24,7 @@ from .errors import (
     NotDiagonalizableError,
     NotHermitianError,
     NotIdempotentError,
+    NotOrthonormalError,
     OperatorSingularError,
     PartitionError,
     ReductionStageError,

@@ -86,7 +86,8 @@ def cmd_gen(args) -> int:
 
 
 def _check_instance(pair: FeshbachPair):
-    """The `check` report of a validated pair as a JSON-ready dict, and its ResidualReports by name."""
+    """The ResidualReports of a validated pair by name, its KernelCorrespondence
+    and the sorted labels of the checks that failed (advisory ones excepted)."""
     data = feshbach_map(pair)
 
     reports = {
@@ -99,20 +100,13 @@ def _check_instance(pair: FeshbachPair):
     kernel = kernel_correspondence(pair, data)
 
     failures = []
-    for name, report in reports.items():
+    for report in reports.values():
         for entry in report:
             if not entry.passed and not entry.label.startswith(_ADVISORY_PREFIXES):
                 failures.append(entry.label)
     if not kernel.passed:
         failures.append("kernel_correspondence")
-
-    return {
-        "schema": SCHEMA,
-        "tolerances": asdict(pair.tol),
-        "reports": {name: report.to_dict() for name, report in reports.items()},
-        "kernel": kernel.to_dict(),
-        "summary": {"pass": not failures, "failures": sorted(failures)},
-    }, reports
+    return reports, kernel, sorted(failures)
 
 
 def cmd_check(args) -> int:
@@ -120,22 +114,22 @@ def cmd_check(args) -> int:
     mats = _load_instance_dir(args.instance)
     started = time.perf_counter()
     partition = validate_partition(mats["chi"], mats["chibar"], tol)
-    result, reports = _check_instance(build_pair(mats["H"], mats["T"], partition))
+    reports, kernel, failures = _check_instance(build_pair(mats["H"], mats["T"], partition))
     elapsed = time.perf_counter() - started
 
     for name, report in reports.items():
         print(f"{name}:")
         print(report.pretty())
-    k = result["kernel"]
     print(
-        f"kernel: dim ker H = {k['dim_ker_H']}, dim ker F|ran(chi) = {k['dim_ker_F']}, "
-        f"roundtrip {k['roundtrip_residual']:.3e} -> {'ok' if k['pass'] else 'FAIL'}"
+        f"kernel: dim ker H = {kernel.dim_ker_H}, dim ker F|ran(chi) = {kernel.dim_ker_F}, "
+        f"roundtrip {kernel.roundtrip_residual:.3e} -> {'ok' if kernel.passed else 'FAIL'}"
     )
-    verdict = "PASS" if result["summary"]["pass"] else "FAIL"
-    print(f"summary: {verdict}  (elapsed {elapsed * 1e3:.1f} ms)")
-    if args.json:
-        write_json(args.json, result)
-    return 0 if result["summary"]["pass"] else 1
+    print(f"summary: {'FAIL' if failures else 'PASS'}  (elapsed {elapsed * 1e3:.1f} ms)")
+    _write_report(
+        args.json, tol, reports={name: report.to_dict() for name, report in reports.items()},
+        kernel=kernel.to_dict(), summary={"pass": not failures, "failures": failures},
+    )
+    return 1 if failures else 0
 
 
 def cmd_scan(args) -> int:
@@ -220,13 +214,12 @@ def cmd_fuzz(args) -> int:
             perturbation_scale=scales[(trial // len(kinds)) % len(scales)],
             seed=derived_seed(args.seed, trial),
         )
-        result, reports = _check_instance(_generate_pair(spec, tol))
+        reports, kernel, failed = _check_instance(_generate_pair(spec, tol))
         for report in reports.values():
             for entry in report:
                 worst[entry.label] = max(worst.get(entry.label, 0.0), entry.residual)
-        roundtrip = result["kernel"]["roundtrip_residual"]
-        worst["kernel/roundtrip"] = max(worst.get("kernel/roundtrip", 0.0), roundtrip)
-        failures += len(result["summary"]["failures"])
+        worst["kernel/roundtrip"] = max(worst.get("kernel/roundtrip", 0.0), kernel.roundtrip_residual)
+        failures += len(failed)
 
     print(f"fuzz: {args.trials} trials, kinds={','.join(kinds)}, dims {args.dim_min}..{args.dim_max}")
     for label in sorted(worst):

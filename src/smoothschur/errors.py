@@ -9,6 +9,10 @@ class ToleranceError(SmoothSchurError, ValueError):
     """A tolerance is not a positive finite number."""
 
 
+class NotOrthonormalError(SmoothSchurError, ValueError):
+    """A subspace basis has columns that are not orthonormal."""
+
+
 class DimensionMismatchError(SmoothSchurError):
     """Operands have incompatible shapes."""
 

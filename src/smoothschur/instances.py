@@ -152,8 +152,8 @@ def generate_singular(
 ) -> Instance:
     """Instance whose H has an exactly planted kernel of the given dimension.
 
-    H = H0 (1 - V V^H) with H0 the generic draw and V a random orthonormal
-    frame, so ker H = span(V) whenever H0 is invertible.
+    H = H0 - (H0 V) V^H = H0 (1 - V V^H) with H0 the generic draw and V a
+    random orthonormal frame, so ker H = span(V) whenever H0 is invertible.
     """
     if not (1 <= kernel_dim < spec.dim):
         raise InstanceSpecError(f"kernel_dim must be in [1, dim), got {kernel_dim}")
@@ -164,7 +164,7 @@ def generate_singular(
         raise InstanceSpecError("base instance too close to singular for kernel planting")
     for _ in range(_MAX_REDRAWS):
         V, _ = np.linalg.qr(_crandn(rng, n, kernel_dim))
-        H = base.H @ (np.eye(n) - V @ V.conj().T)
+        H = base.H - (base.H @ V) @ V.conj().T
         try:
             pair = build_pair(H, base.T, base.partition)
         except SmoothSchurError:

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonFiniteMatrixError,
+    NotOrthonormalError,
     SingularRestrictionError,
     SubspaceLeakError,
     ToleranceError,
@@ -203,7 +204,7 @@ class Subspace:
         if k and not self.is_identity:
             gram = B.conj().T @ B
             if norm_exceeds(gram - np.eye(k), _ORTHONORMAL_TOL):
-                raise ValueError("basis columns are not orthonormal")
+                raise NotOrthonormalError("basis columns are not orthonormal")
 
     @cached_property
     def is_identity(self) -> bool:

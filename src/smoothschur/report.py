@@ -1,7 +1,7 @@
 """Labelled residual bookkeeping shared by every validator in the package."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -16,13 +16,7 @@ class ResidualEntry:
         return self.residual <= self.threshold
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass

@@ -17,6 +17,7 @@ from smoothschur.matio import matrix_from_dict, read_matrix, write_matrix
 from conftest import crandn
 
 GOLDEN_CRITERION_6 = Path(__file__).parent / "data" / "criterion6_worked2x2.csv"
+GOLDEN_CHECK = Path(__file__).parent / "data" / "check_worked2x2.json"
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
@@ -89,6 +90,24 @@ class TestMatrixIO:
         assert np.isfinite(A).all()
 
 
+def _assert_matches_golden(got, want, where="report"):
+    """got has want's keys, lengths, types, strings, booleans and integers
+    exactly, and each float within 1e-12 absolute or relative."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert got == want, where
+
+
 @pytest.fixture
 def instance_dir(tmp_path):
     out = tmp_path / "inst"
@@ -137,9 +156,13 @@ class TestCheck:
         assert report["summary"]["pass"] is True
         assert "summary: PASS" in capsys.readouterr().out
 
-    def test_worked_fixture(self, capsys):
-        code = main(["check", "fixtures/worked2x2"])
-        assert code == 0
+    def test_worked_fixture(self, tmp_path, capsys):
+        # the committed report is this command's as recorded with NumPy 2.4;
+        # every key, label, note and verdict must match it exactly, and each
+        # number to within the rounding another LAPACK or BLAS build may move
+        path = tmp_path / "check.json"
+        assert main(["check", "fixtures/worked2x2", "--json", str(path)]) == 0
+        _assert_matches_golden(json.loads(path.read_text()), json.loads(GOLDEN_CHECK.read_text()))
 
     def test_corrupt_file_exits_2(self, instance_dir, capsys):
         (instance_dir / "H.json").write_text("{broken")
@@ -151,8 +174,10 @@ class TestCheck:
             ('{"rows": true, "cols": 1, "re": [1.0], "im": [0.0]}', "rows/cols must be positive integers"),
             ('{"rows": 1, "cols": 1, "re": 1.0, "im": [0.0]}', "re must be a list, got float"),
             ('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0.0]}', "entry out of float range"),
+            ("[1.0, 0.0]", "expected a JSON object"),
+            ("null", "expected a JSON object"),
         ],
-        ids=["bool-rows", "scalar-re", "400-digit-entry"],
+        ids=["bool-rows", "scalar-re", "400-digit-entry", "list", "null"],
     )
     def test_malformed_matrix_exits_2(self, instance_dir, capsys, text, message):
         (instance_dir / "H.json").write_text(text)

@@ -730,6 +730,32 @@ class TestSpectralScan:
         assert sum(result.pair_valid) > 0
         assert stacked_solves[0] == (sum(result.pair_valid) if solved else 0)
 
+    @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite"])
+    def test_failed_eig_leaves_the_scan_to_svds_and_solves(self, failure, monkeypatch, stacked_svds, stacked_solves):
+        # where eig raises, or returns non-finite eigenvectors, a chibar block
+        # has no certificate: every point takes both blocks' SVD rank tests
+        # and the batched solve of the coupling term, and the scan still
+        # matches the per-point reference, which takes no eig
+        H, T, partition, grid = _reference_instance("nonselfadjoint", 8)
+        eig = np.linalg.eig
+
+        def failing(M):
+            if failure == "LinAlgError":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            w, V = eig(M)
+            V[0, 0] = np.inf  # an SVD of V returns NaN here, where a NaN in V raises
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        scan = _ShiftedScan(H, T, partition)
+        assert [certificate for _, certificate in scan.blocks] == [None, None] and scan.poles is None
+        stacked_svds[0] = stacked_solves[0] = 0
+        result = spectral_scan(H, T, partition, grid)
+        valid = sum(result.pair_valid)
+        assert 0 < valid < len(grid)
+        assert stacked_svds[0] >= 3 * valid and stacked_solves[0] == valid
+        self._assert_matches_reference(H, T, partition, grid, result)
+
     @pytest.mark.parametrize("kind", [*KINDS, *OVERLAP_FORMS, *MIXED_FORMS, "corank-one"])
     @pytest.mark.parametrize("dim", [3, 8, 32])
     def test_chunking_leaves_every_answer_bit_identical(self, kind, dim, monkeypatch):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothschur import (
+    NotOrthonormalError,
     SingularRestrictionError,
+    SmoothSchurError,
     Subspace,
     ToleranceError,
     Tolerances,
@@ -234,6 +236,29 @@ class TestColumnSpace:
 
     def test_identity_full(self):
         assert column_space(np.eye(3)).dim == 3
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+def test_empty_matrix_has_rank_zero(shape):
+    # an empty matrix has rank 0: its column space is {0} in C^rows, and
+    # every vector of C^cols is in its kernel
+    rows, cols = shape
+    A = np.zeros(shape, dtype=complex)
+    assert numerical_rank(A) == 0
+    kernel, ran = kernel_basis(A), column_space(A)
+    assert (kernel.ambient_dim, kernel.dim) == (cols, cols)
+    assert (ran.ambient_dim, ran.dim) == (rows, 0)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [np.array([[1.0], [1.0]]), np.array([[1.0, 1.0], [0.0, 1e-6]]), np.array([[1.0, 0.0], [0.0, 1.0 + 1e-7]])],
+    ids=["unnormalized", "parallel", "stretched"],
+)
+def test_non_orthonormal_basis_is_typed(basis):
+    with pytest.raises(NotOrthonormalError, match="not orthonormal") as info:
+        Subspace(2, basis.astype(complex))
+    assert isinstance(info.value, SmoothSchurError) and isinstance(info.value, ValueError)
 
 
 class TestRestrictedMap:

@@ -6,6 +6,7 @@ import pytest
 from smoothschur import instances as instances_module
 from smoothschur import partition as partition_module
 from smoothschur import (
+    InstanceSpecError,
     NotDiagonalizableError,
     NotHermitianError,
     NotIdempotentError,
@@ -211,6 +212,27 @@ def test_generator_errors_keep_their_messages(build, error, message):
     with pytest.raises(error) as exc:
         build(jordan, lambda w: 0.5 + 0 * w)
     assert re.fullmatch(message, str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"dim": 1}, "dim must be >= 2, got 1"),
+        ({"dim": -3}, "dim must be >= 2, got -3"),
+        ({"partition_kind": "bogus"}, "partition_kind must be one of .* got 'bogus'"),
+    ],
+    ids=["dim-1", "dim-negative", "unknown-kind"],
+)
+def test_bad_instance_spec_is_typed(fields, message):
+    with pytest.raises(InstanceSpecError, match=message):
+        InstanceSpec(**{"dim": 4, "partition_kind": "smooth", **fields})
+
+
+@pytest.mark.parametrize("kernel_dim", [0, -1, 4, 5])
+def test_planted_kernel_outside_the_range_is_typed(kernel_dim):
+    spec = InstanceSpec(dim=4, partition_kind="smooth", seed=3)
+    with pytest.raises(InstanceSpecError, match=rf"kernel_dim must be in \[1, dim\), got {kernel_dim}"):
+        generate_singular(spec, kernel_dim)
 
 
 @pytest.mark.parametrize("kind", KINDS)
