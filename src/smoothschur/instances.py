@@ -82,22 +82,20 @@ def random_unitary(rng, n: int) -> np.ndarray:
 def _build_partition_and_T(rng, spec: InstanceSpec, tol: Tolerances):
     n = spec.dim
     kind = spec.partition_kind
+    U = random_unitary(rng, n)
     if kind == "sharp":
         rank = n // 2
-        U = random_unitary(rng, n)
         P = U[:, :rank] @ U[:, :rank].conj().T
         partition = make_sharp(P, tol)
         t = rng.uniform(1.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         T = (U * t) @ U.conj().T
         return partition, T
     if kind == "smooth":
-        U = random_unitary(rng, n)
         Hf = (U * rng.uniform(0.1, 0.9, n)) @ U.conj().T
         Hf = (Hf + Hf.conj().T) / 2
         gen = _decompose(Hf, tol, hermitian=True)
         return _smooth_partition(gen, smoothstep, tol), gen(lambda w: w + 1.2 + 0.3j)
     # nonselfadjoint
-    U = random_unitary(rng, n)
     R = _crandn(rng, n, n)
     R /= op_norm(R)
     V = U @ (np.eye(n) + 0.3 * R)

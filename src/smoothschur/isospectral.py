@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -46,7 +46,7 @@ from .operator_core import (
 )
 from .pairs import FeshbachData, FeshbachPair, _compressed_map, _shift_invariants, build_pair
 from .partition import Partition, make_sharp
-from .report import ResidualReport
+from .report import ResidualReport, _Verdict
 
 
 def admissible_subspace_check(pair: FeshbachPair, V: Subspace) -> ResidualReport:
@@ -105,7 +105,7 @@ def invert_F_via_H(pair: FeshbachPair, data: FeshbachData, V: Subspace) -> np.nd
 
 
 @dataclass(frozen=True)
-class KernelCorrespondence:
+class KernelCorrespondence(_Verdict):
     """Comparison of ker H with ker F intersected with ran(chi)."""
 
     dim_ker_H: int
@@ -121,9 +121,6 @@ class KernelCorrespondence:
             r <= self.threshold
             for r in (self.chi_maps_residual, self.q_maps_residual, self.roundtrip_residual)
         )
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.passed}
 
 
 #: Acceptance for the kernel correspondence residuals.

@@ -247,19 +247,16 @@ class Subspace:
 def _fix_gauge(cols: np.ndarray) -> np.ndarray:
     """Make the first significant entry of each column real positive.
 
-    Fixes the phase ambiguity of SVD bases so reports are reproducible.
+    Fixes the phase ambiguity of SVD bases so reports are reproducible.  Each
+    column is a singular vector, of unit norm, so its largest modulus is
+    positive and its first entry above _GAUGE_REL times that is nonzero.
     """
     cols = np.array(cols, dtype=complex)
     for j in range(cols.shape[1]):
         col = cols[:, j]
         mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > _GAUGE_REL * top))
-        pivot = col[idx]
-        if pivot != 0:
-            cols[:, j] = col * (abs(pivot) / pivot)
+        pivot = col[int(np.argmax(mags > _GAUGE_REL * mags.max()))]
+        cols[:, j] = col * (abs(pivot) / pivot)
     return cols
 
 
@@ -307,7 +304,7 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     A = as_matrix(M)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
-        return Subspace(cols, np.eye(cols, dtype=complex))
+        return Subspace.full(cols)
     return _kernel_basis(A, np.linalg.svd(A, compute_uv=False) if rows >= cols else None, tol)
 
 

@@ -144,10 +144,9 @@ def validate_partition(chi, chibar, tol: Tolerances = DEFAULT_TOL) -> Partition:
         raise DimensionMismatchError(
             f"partition operators must be square and equal-sized, got {chi.shape} and {chibar.shape}"
         )
-    if not norm_exceeds(chi, ZERO_NORM):
-        raise PartitionError("chi is (numerically) the zero operator")
-    if not norm_exceeds(chibar, ZERO_NORM):
-        raise PartitionError("chibar is (numerically) the zero operator")
+    for name, M in (("chi", chi), ("chibar", chibar)):
+        if not norm_exceeds(M, ZERO_NORM):
+            raise PartitionError(f"{name} is (numerically) the zero operator")
 
     def unity_gate(r, norms):  # norms: ||chi||, ||chibar||
         return r, rel_threshold(tol, 1.0 + norms[0] ** 2 + norms[1] ** 2)

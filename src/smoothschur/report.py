@@ -1,11 +1,19 @@
 """Labelled residual bookkeeping shared by every validator in the package."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+
+class _Verdict:
+    """to_dict for a frozen dataclass with a passed property: its fields in
+    order, as the instance holds them, then "pass"."""
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(_Verdict):
     label: str
     residual: float
     threshold: float
@@ -14,9 +22,6 @@ class ResidualEntry:
     @property
     def passed(self) -> bool:
         return self.residual <= self.threshold
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass

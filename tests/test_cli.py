@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothschur import cli
+from smoothschur import cli, isospectral
 from smoothschur.cli import main
 from smoothschur.errors import MatrixFileError
 from smoothschur.instances import KINDS, _generate_pair
@@ -18,6 +18,8 @@ from conftest import crandn
 
 GOLDEN_CRITERION_6 = Path(__file__).parent / "data" / "criterion6_worked2x2.csv"
 GOLDEN_CHECK = Path(__file__).parent / "data" / "check_worked2x2.json"
+GOLDEN_REDUCE = Path(__file__).parent / "data" / "reduce_worked2x2.json"
+GOLDEN_FUZZ = Path(__file__).parent / "data" / "fuzz_seed1.json"
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
@@ -164,6 +166,28 @@ class TestCheck:
         assert main(["check", "fixtures/worked2x2", "--json", str(path)]) == 0
         _assert_matches_golden(json.loads(path.read_text()), json.loads(GOLDEN_CHECK.read_text()))
 
+    def test_invalid_pair_exits_1(self, tmp_path, capsys):
+        # a T that does not commute with chi is a pair build_pair rejects:
+        # a property failure, not a usage error
+        for name in ("H", "chi", "chibar"):
+            (tmp_path / f"{name}.json").write_bytes(Path(f"fixtures/worked2x2/{name}.json").read_bytes())
+        write_matrix(tmp_path / "T.json", np.array([[2.0, 0.5], [0.5, 3.0]]))
+        assert main(["check", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: chi does not commute with T: residual ")
+
+    def test_kernel_failure_is_labelled(self, tmp_path, capsys, monkeypatch):
+        # no residual is at or below a negative threshold, so only the kernel
+        # correspondence fails, and its label is the one failure
+        monkeypatch.setattr(isospectral, "_KERNEL_THRESHOLD", -1.0)
+        path = tmp_path / "check.json"
+        assert main(["check", "fixtures/worked2x2", "--json", str(path)]) == 1
+        report = json.loads(path.read_text())
+        assert report["kernel"]["pass"] is False
+        assert report["summary"] == {"pass": False, "failures": ["kernel_correspondence"]}
+        out = capsys.readouterr().out
+        assert "roundtrip 0.000e+00 -> FAIL" in out and "summary: FAIL" in out
+
     def test_corrupt_file_exits_2(self, instance_dir, capsys):
         (instance_dir / "H.json").write_text("{broken")
         assert main(["check", str(instance_dir)]) == 2
@@ -194,6 +218,13 @@ class TestCheck:
         assert main([command[0], str(tmp_path), *command[1:]]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}: matrices must be square, got 2x3\n"
 
+    def test_inconsistent_shapes_exit_2(self, tmp_path, capsys):
+        for name in ("H", "T", "chi", "chibar"):
+            write_matrix(tmp_path / f"{name}.json", np.eye(2 if name == "H" else 3))
+        assert main(["check", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: inconsistent matrix shapes ")
+
     def test_missing_dir_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope")]) == 2
 
@@ -220,6 +251,17 @@ class TestScan:
         flagged = [complex(re, im) for re, im in payload["flagged_eigenvalues"]]
         for eig in ((5 - np.sqrt(5)) / 2, (5 + np.sqrt(5)) / 2):
             assert min(abs(z - eig) for z in flagged) <= 0.01
+
+    def test_csv_to_stdout_without_out(self, tmp_path, capsys):
+        # without --out the CSV goes to stdout, ahead of the summary line,
+        # byte for byte what --out writes
+        argv = ["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "5", "--re-count", "11"]
+        csv_path = tmp_path / "scan.csv"
+        assert main([*argv, "--out", str(csv_path)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("flagged ")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == csv_path.read_text() + summary
 
     def test_json_is_strict_with_null_at_gaps(self, tmp_path):
         # 2 and 3 are eigenvalues of T, so the grid has gaps; a gap's sigma
@@ -305,6 +347,16 @@ class TestReduce:
         assert payload["dims"] == [8, 4, 2]
         assert payload["H_invertible"] == payload["final_invertible"]
 
+    def test_worked_fixture(self, tmp_path, capsys):
+        # one stage of worked_2x2 leaves the 1 x 1 effective operator [[5/3]]
+        path = tmp_path / "reduce.json"
+        assert main(["reduce", "fixtures/worked2x2", "--stages", "1", "--json", str(path)]) == 0
+        _assert_matches_golden(json.loads(path.read_text()), json.loads(GOLDEN_REDUCE.read_text()))
+        assert capsys.readouterr().out == (
+            "reduction chain: 2 -> 1\n"
+            "H invertible: True; final effective operator invertible: True\n"
+        )
+
     def test_reads_h_alone(self, instance_dir, tmp_path, capsys):
         # reduce reads only H.json: a directory holding H alone, or H beside
         # a malformed T, chi and chibar, reports the same bytes as the full one
@@ -342,6 +394,13 @@ class TestFuzz:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_matches_golden(self, tmp_path, capsys):
+        # the committed report was recorded with NumPy 2.4; its residuals
+        # come from random instances, so their last bits can follow the BLAS
+        path = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--trials", "30", "--seed", "1", "--dim-max", "6", "--json", str(path)]) == 0
+        _assert_matches_golden(json.loads(path.read_text()), json.loads(GOLDEN_FUZZ.read_text()))
 
     def test_single_kind(self, tmp_path):
         path = tmp_path / "f.json"
@@ -386,6 +445,11 @@ class TestFuzz:
     def test_empty_dim_range_exits_2(self, capsys):
         assert main(["fuzz", "--trials", "1", "--dim-min", "5", "--dim-max", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exits_2(self, capsys, trials):
+        assert main(["fuzz", "--trials", trials]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
 
 
 class TestOptions:

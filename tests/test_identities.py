@@ -5,6 +5,9 @@ import pytest
 
 from smoothschur import identities, operator_core
 from smoothschur import (
+    KernelCorrespondence,
+    ResidualEntry,
+    ResidualReport,
     Tolerances,
     build_pair,
     feshbach_map,
@@ -271,3 +274,26 @@ def test_identity_verdicts_near_the_gate_match_exact(exact_norms, ratio):
             fallbacks += sum(e.note == "" for e in bounded)
     if 0.5 <= ratio <= 2.0:
         assert fallbacks > 0
+
+
+class TestVerdicts:
+    def test_report_lookup_by_label(self):
+        report = ResidualReport()
+        entry = report.add("basics/left", 1e-15, 1e-9, BOUND_NOTE)
+        assert report["basics/left"] is entry
+        assert "basics/left" in report and "basics/right" not in report
+        with pytest.raises(KeyError, match="basics/right"):
+            report["basics/right"]
+
+    def test_to_dict_is_the_fields_in_order_then_pass(self):
+        # every field as it is, no copy, and the verdict last
+        entry = ResidualEntry("basics/left", 2e-9, 1e-9)
+        assert list(entry.to_dict().items()) == [
+            ("label", "basics/left"), ("residual", 2e-9), ("threshold", 1e-9), ("note", ""), ("pass", False),
+        ]
+        kernel = KernelCorrespondence(1, 1, 0.0, 1e-15, 2e-15, 1e-8)
+        assert list(kernel.to_dict().items()) == [
+            ("dim_ker_H", 1), ("dim_ker_F", 1), ("chi_maps_residual", 0.0), ("q_maps_residual", 1e-15),
+            ("roundtrip_residual", 2e-15), ("threshold", 1e-8), ("pass", True),
+        ]
+        assert KernelCorrespondence(1, 0, 0.0, 0.0, 0.0, 1e-8).to_dict()["pass"] is False

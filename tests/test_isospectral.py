@@ -46,7 +46,7 @@ from smoothschur import (
 from smoothschur import isospectral
 from smoothschur.instances import InstanceSpec, derived_seed, generate, generate_singular, random_unitary
 from smoothschur.isospectral import _POLE_MAX_COND, _Gate, _ShiftedScan, _dip_minima, _grid_resolution
-from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis
+from smoothschur.operator_core import _CERT_ROUNDING, _kernel_basis, _rank_cutoff
 from smoothschur.pairs import _compressed_map
 
 from conftest import MIXED_FORMS, OVERLAP_FORMS, crandn, instance, overlap_instance, restricted_map, smallest_sv
@@ -1350,6 +1350,35 @@ def test_scan_matches_per_point_reference_on_clustered_blocks(m, k, exponent, se
             assert ok == ref_ok, (lam, margin)
         if ok and ref_ok and not (solved and np.abs(eigs - lam).min() < 1e-3):
             assert abs(sv - ref_sv) <= 1e-12 * (1 + f_norm), (lam, sv, ref_sv)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4], ids=["normal", "non-normal"])
+@pytest.mark.parametrize("rank_ulps", [1, 4])
+def test_certificate_clears_only_what_the_svd_passes(cond, rank_ulps):
+    """At rank_rel = 1 or 4 eps the rank cutoff is as small as the rounding
+    of an SVD, which only the certificate's e bounds.  From each eigenvalue
+    of a 2 x 2 block M along 8 rays, the shift is bisected to the edge of
+    what clears passes, and 32 shifts step out from it: wherever clears
+    passes, sigma_min(M - lam) is above the rank cutoff _gate_block takes
+    from the SVD."""
+    tol = Tolerances(rank_rel=rank_ulps * np.finfo(float).eps)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        U, _, Vh = np.linalg.svd(crandn(rng, 2))
+        V = (U * [1.0, 1.0 / cond]) @ Vh
+        M = (V * [0.0, crandn(rng, 1, 1)[0, 0]]) @ np.linalg.inv(V)
+        certificate = isospectral._eigen_certificate(M)
+        for w in certificate.w:
+            for ray in np.exp(2j * np.pi * np.arange(8) / 8):
+                lo, hi = 0.0, 1.0
+                assert certificate.clears(np.array([w + hi * ray]), tol)[0]
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if certificate.clears(np.array([w + mid * ray]), tol)[0] else (mid, hi)
+                lams = w + hi * ray * (1 + 1e-4 * np.arange(32))
+                for lam in lams[certificate.clears(lams, tol)]:
+                    s = np.linalg.svd(M - lam * np.eye(2), compute_uv=False)
+                    assert s[-1] > _rank_cutoff(s, M.shape, tol), (seed, lam)
 
 
 def test_overflow_at_large_scale_is_typed():

@@ -19,13 +19,15 @@ from smoothschur import (
     op_norm,
     restricted_inverse,
 )
-from smoothschur.errors import NonFiniteMatrixError, SubspaceLeakError
+from smoothschur.errors import DimensionMismatchError, NonFiniteMatrixError, SubspaceLeakError
 from smoothschur.operator_core import (
     ABS_FLOOR,
     BOUND_NOTE,
     _compress,
     _fix_gauge,
     _kernel_basis,
+    _rank_cutoff,
+    as_matrix,
     norm_exceeds,
     norm_gate,
     rel_threshold,
@@ -261,6 +263,56 @@ def test_non_orthonormal_basis_is_typed(basis):
     assert isinstance(info.value, SmoothSchurError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: as_matrix(np.ones(3)), r"expected a 2-d array, got ndim=1"),
+        (lambda: Subspace(3, np.eye(2, dtype=complex)), r"basis shape \(2, 2\) incompatible with ambient dim 3"),
+        (lambda: Subspace(2, np.ones(2, dtype=complex)), r"basis shape \(2,\) incompatible with ambient dim 2"),
+        (lambda: _compress(np.eye(3), Subspace.full(2)), r"operator shape \(3, 3\) does not match ambient dim 2"),
+        (lambda: _compress(np.ones((2, 3)), Subspace.full(2)), r"operator shape \(2, 3\) does not match ambient dim 2"),
+    ],
+    ids=["as_matrix-1d", "subspace-rows", "subspace-1d", "compress-ambient", "compress-non-square"],
+)
+def test_shape_mismatch_is_typed(build, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        build()
+
+
+def test_gauge_fix_pivots_on_the_first_significant_entry():
+    # unit columns with entries below _GAUGE_REL times the largest ahead of
+    # the pivot: the pivot becomes real positive, and each column keeps its
+    # moduli
+    cols = np.array([[1e-14j, 0.0], [-0.6j, 1e-13], [0.8, -1.0 + 0j]], dtype=complex)
+    cols /= np.linalg.norm(cols, axis=0)
+    fixed = _fix_gauge(cols)
+    assert fixed[1, 0].real > 0 and fixed[1, 0].imag == 0
+    assert fixed[2, 1].real > 0 and fixed[2, 1].imag == 0
+    np.testing.assert_allclose(np.abs(fixed), np.abs(cols), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 16, 24])
+def test_rank_at_the_cutoff_is_the_full_svds(n):
+    """A unit-norm (n-1) x (n-1) block beside one entry at cutoff (1 + j eps)
+    for 0 <= j <= 8n, where the cutoff is taken from the block's values-only
+    largest singular value: the entry is a singular value of the matrix to
+    the bit, and the values-only and full SVDs may place the cutoff an ulp
+    apart.  Only a margin of the SVD's rounding between the values-only
+    verdict and the cutoff makes the rank the full SVD's at every j."""
+    tol, eps = Tolerances(), np.finfo(float).eps
+    for seed in range(6):
+        A = np.zeros((n, n), dtype=complex)
+        A[:-1, :-1] = crandn(np.random.default_rng(seed), n - 1)
+        A[:-1, :-1] /= np.linalg.norm(A[:-1, :-1], 2)
+        cutoff = tol.rank_rel * np.linalg.svd(A[:-1, :-1], compute_uv=False)[0] * n
+        for j in range(8 * n + 1):
+            A[-1, -1] = cutoff * (1 + j * eps)
+            s = np.linalg.svd(A)[1]
+            rank = int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
+            assert column_space(A).dim == rank, (seed, j)
+            assert kernel_basis(A).dim == n - rank, (seed, j)
+
+
 class TestRestrictedMap:
     """_compress: the compression of A to V and its leak residual."""
 
@@ -355,6 +407,13 @@ class TestRestrictedInverse:
                     restricted_inverse(A, V)
             else:
                 assert restricted_inverse(A, V)[0, 0] == pytest.approx(1.0 / (ratio * cutoff))
+
+    def test_empty_subspace_gives_zero(self):
+        # the compression to {0} is an empty block: nothing to gate and
+        # nothing to invert
+        A = crandn(np.random.default_rng(4), 3)
+        G = restricted_inverse(A, Subspace.empty(3))
+        assert G.shape == (3, 3) and not G.any()
 
     def test_vanishes_off_subspace(self):
         rng = np.random.default_rng(1)

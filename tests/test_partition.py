@@ -6,6 +6,7 @@ import pytest
 from smoothschur import instances as instances_module
 from smoothschur import partition as partition_module
 from smoothschur import (
+    DimensionMismatchError,
     InstanceSpecError,
     NotDiagonalizableError,
     NotHermitianError,
@@ -48,6 +49,24 @@ class TestValidatePartition:
     def test_zero_chi_rejected(self):
         with pytest.raises(PartitionError, match="zero"):
             validate_partition(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "chi, chibar, name",
+        [(np.eye(2), np.zeros((2, 2)), "chibar"), (np.zeros((2, 2)), np.zeros((2, 2)), "chi")],
+        ids=["chibar", "both"],
+    )
+    def test_zero_operator_named(self, chi, chibar, name):
+        # chi is checked first, so where both are zero the message names chi
+        with pytest.raises(PartitionError) as exc:
+            validate_partition(chi, chibar)
+        assert str(exc.value) == f"{name} is (numerically) the zero operator"
+
+    @pytest.mark.parametrize(
+        "chi, chibar", [(np.ones((2, 3)), np.ones((2, 3))), (np.eye(2), np.eye(3))], ids=["non-square", "unequal"]
+    )
+    def test_shape_mismatch_rejected(self, chi, chibar):
+        with pytest.raises(DimensionMismatchError, match="partition operators must be square and equal-sized"):
+            validate_partition(chi, chibar)
 
     def test_zero_norm_is_inclusive(self):
         # ||chi|| at ZERO_NORM counts as zero, and twice it does not
@@ -233,6 +252,36 @@ def test_planted_kernel_outside_the_range_is_typed(kernel_dim):
     spec = InstanceSpec(dim=4, partition_kind="smooth", seed=3)
     with pytest.raises(InstanceSpecError, match=rf"kernel_dim must be in \[1, dim\), got {kernel_dim}"):
         generate_singular(spec, kernel_dim)
+
+
+@pytest.mark.parametrize(
+    "constant, value, scale, kernel_dim, message",
+    [
+        ("_CONDITION_MARGIN", 2.0, 0.0, 0, "could not realize a well-conditioned instance for seed 3"),
+        ("_CONDITION_MARGIN", 2.0, 0.1, 0, "could not realize a well-conditioned instance for seed 3"),
+        ("_PLANT_BASE_MIN_SV", 1e3, 0.1, 1, "base instance too close to singular for kernel planting"),
+        ("_PLANT_SURVIVOR_REL", 2.0, 0.1, 1, "could not plant a clean kernel of dim 1 for seed 3"),
+    ],
+    ids=["margin-unperturbed", "margin-redrawn", "plant-base", "plant-survivors"],
+)
+def test_generation_gives_up(monkeypatch, constant, value, scale, kernel_dim, message):
+    # no chibar block clears a margin of 2, no H has smallest sv 1e3, and
+    # no surviving sv is twice the largest: every draw is rejected
+    monkeypatch.setattr(instances_module, constant, value)
+    spec = InstanceSpec(dim=4, partition_kind="smooth", perturbation_scale=scale, seed=3)
+    with pytest.raises(InstanceSpecError, match=re.escape(message)):
+        generate_singular(spec, kernel_dim) if kernel_dim else generate(spec)
+
+
+def test_generation_gives_up_when_every_pair_is_rejected():
+    # at rank_rel 0.9 every chibar block is singular, and a sharp n = 4 H
+    # of rank one leaves its 2 x 2 chibar block singular: build_pair raises
+    # on every draw
+    spec = InstanceSpec(dim=4, partition_kind="sharp", perturbation_scale=0.1, seed=3)
+    with pytest.raises(InstanceSpecError, match="could not realize"):
+        generate(spec, Tolerances(rank_rel=0.9))
+    with pytest.raises(InstanceSpecError, match="could not plant a clean kernel of dim 3"):
+        generate_singular(spec, 3)
 
 
 @pytest.mark.parametrize("kind", KINDS)
