@@ -162,7 +162,11 @@ def cmd_scan(args) -> int:
     reference = result.reference_eigenvalues
     reach = 10 * _grid_resolution(grid)
     matched = sum(1 for z in reference if flagged and min(abs(z - f) for f in flagged) <= reach)
-    print(f"flagged {len(flagged)} candidate(s); reference eigenvalues matched: {matched}/{len(reference)}")
+    # without --out, stdout is the CSV alone
+    print(
+        f"flagged {len(flagged)} candidate(s); reference eigenvalues matched: {matched}/{len(reference)}",
+        file=sys.stdout if args.out else sys.stderr,
+    )
     _write_report(args.json, tol, **result.to_dict())
     return 0
 

@@ -384,7 +384,10 @@ class _ShiftedScan:
     one bound nu on ||A - lam|| (_Gate), dropped when it keeps no residual.
     Each chibar block is its matrix M and its _EigenCertificate, and M - lam
     is stacked only for the points the certificate leaves open to the SVD,
-    and for the batched solve.
+    and for the batched solve.  Where H_chibar is bitwise T, as when chibar
+    W chibar vanishes, _shift_invariants gives K as T_block itself: the scan
+    then keeps one block, K last in self.blocks either way, and drops
+    H_chibar's gate, whose operator and check are T's.
 
     A scan takes two passes, each chunked (_chunks) by its own footprint
     per shift under _SCAN_CHUNK_BYTES: valid, O(n) numbers per shift, its
@@ -397,7 +400,7 @@ class _ShiftedScan:
     A scan over a grid of `points` shifts runs on self.workers workers, one
     per usable CPU up to the number of F_c chunks the whole grid could
     need, decided once _shift_invariants has passed; a grid that fits in
-    one chunk starts no thread.  The two certificates run side by side
+    one chunk starts no thread.  The blocks' certificates run side by side
     (_run_tasks), each kept beside its block in self.blocks.
 
     The coupling term of F_c(lam) = F0 - lam - L (K - lam)^-1 R is a
@@ -447,20 +450,22 @@ class _ShiftedScan:
     def __init__(self, H, T, partition: Partition, points: int = 1):
         fixed = _shift_invariants(H, T, partition)
         self.tol = partition.tol
+        # a K that is T_block (H_chibar is T) is one block, with T's gate
+        shared = fixed.K is fixed.T_block
         gates = (
             _Gate.of(T, [*zip(fixed.commutation, (partition.chi, partition.chibar)), (fixed.T_leak, None)], self.tol),
-            _Gate.of(fixed.H_chibar, [(fixed.K_leak, None)], self.tol),
+            None if shared else _Gate.of(fixed.H_chibar, [(fixed.K_leak, None)], self.tol),
         )
         self.gates = [gate for gate in gates if gate is not None]
         self.n = partition.dim
         k, m = partition.ran_chibar.dim, partition.ran_chi.dim
         self.point_bytes = 16 * max(k * k, k * m, m * m)
         self.workers = min(_usable_cpus(), -(-points // _chunk_points(self.point_bytes)))
-        blocks = (fixed.T_block, fixed.K)
+        blocks = (fixed.T_block,) if shared else (fixed.T_block, fixed.K)
         self.blocks = list(zip(blocks, _run_tasks([partial(_eigen_certificate, M) for M in blocks], self.workers)))
         self.diagonal = np.concatenate([np.diagonal(T), np.diagonal(fixed.H_chibar)])
         self.F0, self.left, self.right = _compressed_map(T, fixed.W, partition)
-        self.poles = self._pole_form(self.blocks[1][1])  # K's certificate
+        self.poles = self._pole_form(self.blocks[-1][1])  # K's certificate
 
     def _pole_form(self, certificate: _EigenCertificate | None):
         """(w, L V, V^-1 R) from the certificate of K, or None where the
@@ -500,7 +505,7 @@ class _ShiftedScan:
         with np.errstate(all="ignore"):
             if self.poles is None:
                 right = np.broadcast_to(self.right, (len(at),) + self.right.shape)
-                Fc = self.left @ np.linalg.solve(_shift(self.blocks[1][0], at), right)  # K - lam
+                Fc = self.left @ np.linalg.solve(_shift(self.blocks[-1][0], at), right)  # K - lam
             else:
                 w, left, right = self.poles
                 Fc = left @ (right / (w[:, None] - at[:, None, None]))
@@ -664,14 +669,14 @@ def spectral_scan(H, T, partition: Partition, grid) -> ScanResult:
 
     The workers (_ShiftedScan.workers) take two task lists in turn, each
     pulled by whichever worker is free (_run_tasks).  The first holds the
-    eigenvector certificates of both chibar blocks.  Then the validity pass
-    runs over the whole grid, and the second list holds the reference data,
-    ||H|| and the eigenvalues of H, which do not depend on validity, then
-    the chunks of about 512 KB (_SCAN_CHUNK_BYTES) in which F_c and its SVD
-    are taken at the valid points alone.  Each chunk returns its singular
-    values and the calling thread writes them at its points, so the result
-    is bit-identical to one worker's.  A grid that fits in one chunk starts
-    no thread.
+    eigenvector certificates of the chibar blocks, one where K is T_block
+    (_ShiftedScan).  Then the validity pass runs over the whole grid, and
+    the second list holds the reference data, ||H|| and the eigenvalues of
+    H, which do not depend on validity, then the chunks of about 512 KB
+    (_SCAN_CHUNK_BYTES) in which F_c and its SVD are taken at the valid
+    points alone.  Each chunk returns its singular values and the calling
+    thread writes them at its points, so the result is bit-identical to one
+    worker's.  A grid that fits in one chunk starts no thread.
 
     Eigenvalue candidates are grid points whose singular value dips below
     _FLAG_SCALE * resolution * (1 + ||H||); local minima of the dip are

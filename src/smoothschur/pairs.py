@@ -76,7 +76,10 @@ NEUMANN_MAX_TERMS = 200
 class _ShiftInvariants(NamedTuple):
     """The part of a pair that a common shift of H and T leaves unchanged,
     but for T_block and K, which move by -lam.  The commutation and leak
-    residuals are kept as matrices, each gate taking their norms as it needs."""
+    residuals are kept as matrices, each gate taking their norms as it needs.
+    Where H_chibar is bitwise T, H_chibar is T itself, K is T_block and
+    K_leak is T_leak, so a caller that finds K is T_block gates, decomposes
+    and certifies that block once."""
 
     W: np.ndarray
     H_chibar: np.ndarray
@@ -102,6 +105,8 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
     chi, chibar, tol = partition.chi, partition.chibar, partition.tol
     W = H - T
     H_chibar = T + chibar @ W @ chibar
+    if _same_bits(H_chibar, T):  # chibar W chibar vanishes, as in a classical Schur complement
+        H_chibar = T
     ran_chibar = partition.ran_chibar
     if not ran_chibar.dim:
         s = np.linalg.svd(chibar, compute_uv=False)
@@ -109,11 +114,15 @@ def _shift_invariants(H, T, partition: Partition) -> _ShiftInvariants:
             f"ran(chibar) is numerically empty: ||chibar|| {s[0]:.3e} <= rank cutoff "
             f"{_rank_cutoff(s, chibar.shape, tol):.3e}"
         )
-    return _ShiftInvariants(
-        W, H_chibar,
-        tuple(c @ T - T @ c for c in (chi, chibar)),
-        *_compress(T, ran_chibar), *_compress(H_chibar, ran_chibar),
-    )
+    T_block, T_leak = _compress(T, ran_chibar)
+    K, K_leak = (T_block, T_leak) if H_chibar is T else _compress(H_chibar, ran_chibar)
+    return _ShiftInvariants(W, H_chibar, tuple(c @ T - T @ c for c in (chi, chibar)), T_block, T_leak, K, K_leak)
+
+
+def _same_bits(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether the complex matrices A and B hold the same bits: equal values
+    whose zeros carry the same sign."""
+    return np.array_equal(np.ascontiguousarray(A).view(np.int64), np.ascontiguousarray(B).view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -216,17 +225,18 @@ def build_pair(H, T, partition: Partition) -> FeshbachPair:
 
     # condition (b): T and H_chibar invertible on ran(chibar); each block's
     # leak is recorded against its threshold, and its rank cutoff against its
-    # smallest singular value
+    # smallest singular value.  A K that is T_block is gated once, under both labels
     block_svs = {}
     for label, A, block, residual in (
         ("T", T, fixed.T_block, fixed.T_leak),
         ("H_chibar", fixed.H_chibar, fixed.K, fixed.K_leak),
     ):
-        leak, threshold, note = rel_gate(residual, (A,), tol)
-        try:
-            smin, smax, cutoff = _gate_block(block, leak, threshold, tol)
-        except (SubspaceLeakError, SingularRestrictionError) as exc:
-            raise BlockInvertibilityError(f"{label} not invertible on ran(chibar): {exc}") from exc
+        if label == "T" or block is not fixed.T_block:
+            leak, threshold, note = rel_gate(residual, (A,), tol)
+            try:
+                smin, smax, cutoff = _gate_block(block, leak, threshold, tol)
+            except (SubspaceLeakError, SingularRestrictionError) as exc:
+                raise BlockInvertibilityError(f"{label} not invertible on ran(chibar): {exc}") from exc
         evidence.add(f"pair/{label}_block_leak", leak, threshold, note)
         evidence.add(f"pair/{label}_block_rank_cutoff", cutoff, smin, note="below smallest sv")
         block_svs[label] = (smin, smax)
@@ -312,11 +322,11 @@ def neumann_inverse(pair: FeshbachPair) -> NeumannResult:
         raise ContractionError(q)
     chibar, W = pair.chibar, pair.W
     Tib = pair.T_inv_bar
-    M = chibar @ W @ Tib @ chibar
+    M = -(chibar @ W @ Tib @ chibar)  # negated once: each term is M times the last
 
     total = term = np.eye(pair.dim, dtype=complex)
     terms_used, truncated = 1, False
-    while norm_exceeds(term := -M @ term, NEUMANN_TOL):
+    while norm_exceeds(term := M @ term, NEUMANN_TOL):
         if terms_used >= NEUMANN_MAX_TERMS:
             truncated = True
             break

@@ -253,15 +253,18 @@ class TestScan:
             assert min(abs(z - eig) for z in flagged) <= 0.01
 
     def test_csv_to_stdout_without_out(self, tmp_path, capsys):
-        # without --out the CSV goes to stdout, ahead of the summary line,
-        # byte for byte what --out writes
+        # without --out stdout is the CSV alone, byte for byte what --out
+        # writes, and the summary line that --out leaves on stdout goes to
+        # stderr
         argv = ["scan", "fixtures/worked2x2", "--re-min", "0", "--re-max", "5", "--re-count", "11"]
         csv_path = tmp_path / "scan.csv"
         assert main([*argv, "--out", str(csv_path)]) == 0
-        summary = capsys.readouterr().out
-        assert summary.startswith("flagged ")
+        with_out = capsys.readouterr()
+        assert with_out.out.startswith("flagged ") and with_out.err == ""
         assert main(argv) == 0
-        assert capsys.readouterr().out == csv_path.read_text() + summary
+        without_out = capsys.readouterr()
+        assert without_out.out == csv_path.read_text()
+        assert without_out.err == with_out.out
 
     def test_json_is_strict_with_null_at_gaps(self, tmp_path):
         # 2 and 3 are eigenvalues of T, so the grid has gaps; a gap's sigma

@@ -38,8 +38,8 @@ from smoothschur import (
 from smoothschur import partition as partition_module
 from smoothschur.instances import InstanceSpec, _well_conditioned, derived_seed, generate, random_unitary
 from smoothschur.errors import SubspaceLeakError
-from smoothschur.operator_core import BOUND_NOTE, rel_threshold
-from smoothschur.pairs import NEUMANN_MAX_TERMS
+from smoothschur.operator_core import BOUND_NOTE, norm_exceeds, rel_threshold
+from smoothschur.pairs import NEUMANN_MAX_TERMS, NEUMANN_TOL
 
 from conftest import KINDS, MIXED_FORMS, OVERLAP_FORMS, crandn, instance, restricted_map
 
@@ -302,6 +302,22 @@ class TestNeumannInverse:
         res = neumann_inverse(pair)
         assert res.truncated
         assert res.terms_used == NEUMANN_MAX_TERMS == 200
+
+    @pytest.mark.parametrize("n, kind, scale", [(8, "smooth", 0.1), (64, "nonselfadjoint", 0.45), (64, "sharp", 0.1)])
+    def test_matches_a_loop_that_negates_each_term(self, n, kind, scale):
+        # the series negates M once, before its loop; -M @ term, which
+        # negates M at every term, gives the same bits, since negation is exact
+        inst = generate(InstanceSpec(dim=n, partition_kind=kind, perturbation_scale=scale, seed=derived_seed(47, n)))
+        pair = build_pair(inst.H, inst.T, inst.partition)
+        M = pair.chibar @ pair.W @ pair.T_inv_bar @ pair.chibar
+        total = term = np.eye(n, dtype=complex)
+        terms_used = 1
+        while norm_exceeds(term := -M @ term, NEUMANN_TOL) and terms_used < NEUMANN_MAX_TERMS:
+            total = total + term
+            terms_used += 1
+        res = neumann_inverse(pair)
+        assert res.terms_used == terms_used > 5 and not res.truncated
+        assert np.array_equal(res.approx_inv, pair.T_inv_bar @ total)
 
 
 def test_zero_extension_identity_on_ran_chibar():
